@@ -3,6 +3,7 @@ package amdahlyd
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -604,7 +605,7 @@ func BenchmarkServiceHTTPOptimizeWarm(b *testing.B) {
 }
 
 // BenchmarkServiceSweepCold measures a whole 16-cell axis solved as one
-// engine sweep job with nothing cached (λ scale varies per iteration):
+// streaming engine sweep job with nothing cached (λ scale varies per iteration):
 // the per-request price of a cold /v1/sweep, to be read against 16 cold
 // /v1/optimize requests.
 func BenchmarkServiceSweepCold(b *testing.B) {
@@ -619,11 +620,13 @@ func BenchmarkServiceSweepCold(b *testing.B) {
 			m.LambdaInd = l * (1 + float64(i)*1e-9)
 			models[j] = m
 		}
-		if _, _, err := e.Sweep(ctx, models, optimize.PatternOptions{}, false); err != nil {
+		if err := e.SweepStream(ctx, models, optimize.PatternOptions{}, false, discardCell); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
+
+func discardCell(int, service.SweepCell) error { return nil }
 
 // BenchmarkServiceSweepWarm measures the same axis replayed from the
 // per-cell cache.
@@ -637,17 +640,19 @@ func BenchmarkServiceSweepWarm(b *testing.B) {
 		m.LambdaInd = l
 		models[j] = m
 	}
-	if _, _, err := e.Sweep(ctx, models, optimize.PatternOptions{}, false); err != nil {
+	if err := e.SweepStream(ctx, models, optimize.PatternOptions{}, false, discardCell); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cells, _, err := e.Sweep(ctx, models, optimize.PatternOptions{}, false)
+		err := e.SweepStream(ctx, models, optimize.PatternOptions{}, false, func(_ int, c service.SweepCell) error {
+			if !c.Cached {
+				return errors.New("warm sweep missed the cache")
+			}
+			return nil
+		})
 		if err != nil {
 			b.Fatal(err)
-		}
-		if !cells[0].Cached {
-			b.Fatal("warm sweep missed the cache")
 		}
 	}
 }

@@ -236,53 +236,29 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 // one warm-start chain on one replica, and repeated sweeps of the same
 // base (different values) reuse that replica's per-cell cache.
 func ShardKey(path string, body []byte) (string, error) {
-	switch RequestClass(path) {
-	case "evaluate":
-		var q service.EvaluateRequest
-		if err := json.Unmarshal(body, &q); err != nil {
-			return "", fmt.Errorf("bad request body: %w", err)
-		}
-		return modelKey(q.Model)
-	case "optimize":
-		var q service.OptimizeRequest
-		if err := json.Unmarshal(body, &q); err != nil {
-			return "", fmt.Errorf("bad request body: %w", err)
-		}
-		return modelKey(q.Model)
-	case "simulate":
-		var q service.SimulateRequest
-		if err := json.Unmarshal(body, &q); err != nil {
-			return "", fmt.Errorf("bad request body: %w", err)
-		}
-		return modelKey(q.Model)
-	case "multilevel":
-		// Both multilevel endpoints carry the base model in the same spot.
-		var q struct {
-			Model service.ModelSpec `json:"model"`
-		}
-		if err := json.Unmarshal(body, &q); err != nil {
-			return "", fmt.Errorf("bad request body: %w", err)
-		}
-		return modelKey(q.Model)
-	case "hetero":
-		var q struct {
-			Topology service.TopologySpec `json:"topology"`
-		}
-		if err := json.Unmarshal(body, &q); err != nil {
-			return "", fmt.Errorf("bad request body: %w", err)
-		}
-		return topologyKey(q.Topology)
-	case "sweep":
-		var q service.SweepRequest
-		if err := json.Unmarshal(body, &q); err != nil {
-			return "", fmt.Errorf("bad request body: %w", err)
-		}
-		if q.Hetero != nil {
-			return topologyKey(q.Hetero.Topology)
-		}
-		return modelKey(q.Model)
+	class := RequestClass(path)
+	switch class {
+	case "evaluate", "optimize", "simulate", "multilevel", "hetero", "sweep":
+	default:
+		return "", fmt.Errorf("fleet: no shard key for %q", path)
 	}
-	return "", fmt.Errorf("fleet: no shard key for %q", path)
+	// Every routed body carries its base model in "model", or its topology
+	// in "topology" (hetero endpoints) or "hetero.topology" (hetero sweeps).
+	var q struct {
+		Model    service.ModelSpec        `json:"model"`
+		Topology service.TopologySpec     `json:"topology"`
+		Hetero   *service.HeteroSweepSpec `json:"hetero"`
+	}
+	if err := json.Unmarshal(body, &q); err != nil {
+		return "", fmt.Errorf("bad request body: %w", err)
+	}
+	switch {
+	case class == "hetero":
+		return topologyKey(q.Topology)
+	case class == "sweep" && q.Hetero != nil:
+		return topologyKey(q.Hetero.Topology)
+	}
+	return modelKey(q.Model)
 }
 
 func modelKey(spec service.ModelSpec) (string, error) {

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"strings"
 	"sync/atomic"
 
 	"amdahlyd/internal/core"
@@ -111,7 +110,10 @@ type Engine struct {
 	// types bumps the namespace at the core layer.
 	hgOptimizes *lruCache[hetero.PatternResult]
 	hgSims      *lruCache[sim.HeteroRunResult]
-	flight      *flightGroup
+	// results is the table of result caches, kind → LRU in warm-fill
+	// export order; it holds the same caches as the typed fields above.
+	results []kindCache
+	flight  *flightGroup
 
 	// sem is the bounded job scheduler: one slot per executing job.
 	sem chan struct{}
@@ -144,19 +146,25 @@ func NewEngine(opts Options) *Engine {
 	if opts.MaxQueued > 0 {
 		queue = make(chan struct{}, opts.MaxQueued)
 	}
-	return &Engine{
-		queue:       queue,
-		opts:        opts,
-		frozen:      newLRU[*core.Frozen](opts.FrozenCacheSize),
-		optimizes:   newLRU[optimize.PatternResult](opts.ResultCacheSize),
-		sims:        newLRU[sim.RunResult](opts.ResultCacheSize),
-		mlOptimizes: newLRU[multilevel.PatternResult](opts.ResultCacheSize),
-		mlSims:      newLRU[multilevel.CampaignResult](opts.ResultCacheSize),
-		hgOptimizes: newLRU[hetero.PatternResult](opts.ResultCacheSize),
-		hgSims:      newLRU[sim.HeteroRunResult](opts.ResultCacheSize),
-		flight:      newFlightGroup(),
-		sem:         make(chan struct{}, opts.MaxConcurrent),
+	e := &Engine{
+		queue:  queue,
+		opts:   opts,
+		frozen: newLRU[*core.Frozen](opts.FrozenCacheSize),
+		flight: newFlightGroup(),
+		sem:    make(chan struct{}, opts.MaxConcurrent),
 	}
+	// Optimizer results first: they are the expensive solves a cold
+	// replica feels most, so a bounded export spends its budget there.
+	n := opts.ResultCacheSize
+	e.results = []kindCache{
+		{KindOptimize, newResultCache(&e.optimizes, n)},
+		{KindMultilevelOptimize, newResultCache(&e.mlOptimizes, n)},
+		{KindHeteroOptimize, newResultCache(&e.hgOptimizes, n)},
+		{KindSimulate, newResultCache(&e.sims, n)},
+		{KindMultilevelSimulate, newResultCache(&e.mlSims, n)},
+		{KindHeteroSimulate, newResultCache(&e.hgSims, n)},
+	}
+	return e
 }
 
 // Frozen returns the compiled evaluator for the model at P, compiling at
@@ -244,46 +252,80 @@ func (e *Engine) Optimize(ctx context.Context, m core.Model, opts optimize.Patte
 	e.optCalls.Add(1)
 	mk, err := m.CacheKey()
 	if err != nil {
-		return optimize.PatternResult{}, false, err
+		return res, false, err
 	}
-	key := mk + "#opt#" + optionsKey(opts)
-	if r, ok := e.optimizes.Get(key); ok {
+	return memo(ctx, e, e.optimizes, mk+"#opt#"+optionsKey(opts), optimizeJob{m, opts})
+}
+
+type optimizeJob struct {
+	m    core.Model
+	opts optimize.PatternOptions
+}
+
+func (j optimizeJob) solve(context.Context) (optimize.PatternResult, error) {
+	return optimize.OptimalPattern(j.m, j.opts)
+}
+
+// job is one memoizable solve: a pure function of its cache key.
+type job[R any] interface {
+	solve(ctx context.Context) (R, error)
+}
+
+// memo is the one memoized-solve path behind every typed Optimize and
+// Simulate method: a cache hit returns at once; a miss joins or starts
+// the single flight for key, whose body claims a scheduler slot, runs the
+// job and caches its result. cached reports whether the caller skipped
+// the solve (a hit, or attaching to someone else's flight).
+func memo[R any, J job[R]](ctx context.Context, e *Engine, c *lruCache[R], key string, j J) (res R, cached bool, err error) {
+	if r, ok := c.Get(key); ok {
 		return r, true, nil
 	}
+	// The flight captures a copy declared past the hit check: a large job
+	// is captured by reference and so moved to the heap where it is
+	// declared, which must not be on the hit path.
+	miss := j
 	v, shared, err := e.flight.do(ctx, key, func(ctx context.Context) (any, error) {
 		if err := e.acquire(ctx); err != nil {
 			return nil, err
 		}
 		defer e.release()
-		r, err := optimize.OptimalPattern(m, opts)
+		r, err := miss.solve(ctx)
 		if err != nil {
 			return nil, err
 		}
-		e.optimizes.Add(key, r)
+		c.Add(key, r)
 		return r, nil
 	})
 	if err != nil {
 		e.countCancelled(err)
-		return optimize.PatternResult{}, false, err
+		return res, false, err
 	}
-	return v.(optimize.PatternResult), shared, nil
+	return v.(R), shared, nil
 }
 
-// SweepCell is one solved cell of a batched sweep: the optimizer result
-// plus whether it was served from the per-cell cache.
-type SweepCell struct {
-	Result optimize.PatternResult
+// sweepCell is one solved cell of a sweep: the protocol's optimizer
+// result plus whether it was served from the per-cell cache.
+type sweepCell[R any] struct {
+	Result R
 	Cached bool
 }
 
-// maxSweepKeyModels caps how many per-cell canonical keys the sweep
-// flight key concatenates; beyond it the request is rejected upstream
-// (the HTTP handler enforces a smaller cell cap anyway).
+// SweepCell is one solved cell of a single-level sweep.
+type SweepCell = sweepCell[optimize.PatternResult]
+
+// maxSweepKeyModels caps how many cells one sweep call keys; the HTTP
+// handler enforces a smaller cell cap anyway.
 const maxSweepKeyModels = 1 << 16
 
-// Sweep solves an ordered axis of related models as one engine job: a
-// single scheduler slot, single-flight on the whole-axis key (concurrent
-// identical sweeps solve once), and one optimizer-cache entry per cell.
+// SweepStream solves an ordered axis of related models as one engine job
+// under a single scheduler slot, handing each cell to emit as soon as it
+// is solved: the first row of a long sweep reaches the client while the
+// chain is still running, and a client hang-up (ctx cancelled or emit
+// returning an error) stops the chain at the next cell instead of
+// solving the rest for nobody. There is no single-flight — an
+// incremental stream has no whole-axis result for a second request to
+// attach to.
+//
 // Cells are solved by a warm-start chain (optimize.SweepSolver) — each
 // optimum brackets the next, which is what makes a cold axis ~an order
 // of magnitude cheaper than per-cell /v1/optimize requests. A cached
@@ -294,125 +336,72 @@ const maxSweepKeyModels = 1 << 16
 // cells agree within the refinement tolerance but not bitwise, so they
 // live under a separate per-cell namespace — a sweep never changes what
 // /v1/optimize returns.
-func (e *Engine) Sweep(ctx context.Context, models []core.Model, opts optimize.PatternOptions, cold bool) (res []SweepCell, shared bool, err error) {
-	e.sweepCalls.Add(1)
-	if len(models) == 0 {
-		return nil, false, errors.New("service: sweep needs at least one cell")
-	}
-	if len(models) > maxSweepKeyModels {
-		return nil, false, fmt.Errorf("service: sweep of %d cells exceeds the %d-cell limit", len(models), maxSweepKeyModels)
-	}
-	ns := "#swopt#"
-	if cold {
-		ns = "#opt#"
-	}
-	ok := optionsKey(opts)
-	keys := make([]string, len(models))
-	var flightKey strings.Builder
-	flightKey.WriteString("sweep#")
-	if cold {
-		flightKey.WriteString("cold#")
-	}
-	flightKey.WriteString(ok)
-	for i, m := range models {
-		mk, err := m.CacheKey()
-		if err != nil {
-			return nil, false, err
-		}
-		keys[i] = mk + ns + ok
-		flightKey.WriteString("|")
-		flightKey.WriteString(mk)
-	}
-	v, shared, err := e.flight.do(ctx, flightKey.String(), func(ctx context.Context) (any, error) {
-		if err := e.acquire(ctx); err != nil {
-			return nil, err
-		}
-		defer e.release()
-		solver := optimize.NewSweepSolver(optimize.SweepOptions{PatternOptions: opts, Cold: cold})
-		out := make([]SweepCell, len(models))
-		for i, m := range models {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if r, ok := e.optimizes.Get(keys[i]); ok {
-				solver.Observe(m, r)
-				out[i] = SweepCell{Result: r, Cached: true}
-				continue
-			}
-			r, err := solver.Solve(m)
-			if err != nil {
-				return nil, fmt.Errorf("service: sweep cell %d: %w", i, err)
-			}
-			e.optimizes.Add(keys[i], r)
-			out[i] = SweepCell{Result: r}
-		}
-		return out, nil
-	})
-	if err != nil {
-		e.countCancelled(err)
-		return nil, false, err
-	}
-	return v.([]SweepCell), shared, nil
-}
-
-// SweepStream solves the same warm-start axis as Sweep but hands each
-// cell to emit as soon as it is solved, instead of materializing the
-// whole axis first: the first row of a long sweep reaches the client
-// while the chain is still running, and a client hang-up (ctx cancelled
-// or emit returning an error) stops the chain at the next cell instead
-// of solving the rest for nobody. The per-cell cache namespaces are
-// identical to Sweep's, so the two paths warm each other; there is no
-// single-flight — an incremental stream has no whole-axis result for a
-// second request to attach to.
 //
 // emit runs on the caller's goroutine while the chain holds its one
 // scheduler slot; a non-nil emit error aborts the sweep and is returned
 // verbatim.
 func (e *Engine) SweepStream(ctx context.Context, models []core.Model, opts optimize.PatternOptions, cold bool, emit func(i int, c SweepCell) error) error {
 	e.sweepCalls.Add(1)
+	s := optimize.NewSweepSolver(optimize.SweepOptions{PatternOptions: opts, Cold: cold})
+	return sweepChain(ctx, e, e.optimizes, models, cold, chain[core.Model, optimize.PatternResult]{
+		name: "sweep", opts: optionsKey(opts), solve: s.Solve, observe: s.Observe,
+	}, emit)
+}
+
+// chain adapts one protocol's warm-start sweep solver to sweepChain.
+type chain[M, R any] struct {
+	name string // labels cell errors: "service: <name> cell i: …"
+	ns   string // the protocol's key version ("ml1|"), or empty
+	opts string // the canonical options suffix of every cell key
+	// solve runs the chain on the next uncached cell; observe primes it
+	// with a cached one.
+	solve   func(M) (R, error)
+	observe func(M, R)
+}
+
+// sweepChain is the one warm-start chain loop behind every *SweepStream.
+// Cold-mode cells are keyed in the protocol's optimize namespace ("opt"),
+// warm-mode cells in the per-cell "swopt" namespace.
+func sweepChain[M interface{ CacheKey() (string, error) }, R any](ctx context.Context, e *Engine, c *lruCache[R], models []M, cold bool, ch chain[M, R], emit func(int, sweepCell[R]) error) error {
 	if len(models) == 0 {
 		return errors.New("service: sweep needs at least one cell")
 	}
 	if len(models) > maxSweepKeyModels {
 		return fmt.Errorf("service: sweep of %d cells exceeds the %d-cell limit", len(models), maxSweepKeyModels)
 	}
-	ns := "#swopt#"
+	op := "swopt#"
 	if cold {
-		ns = "#opt#"
+		op = "opt#"
 	}
-	ok := optionsKey(opts)
 	keys := make([]string, len(models))
 	for i, m := range models {
 		mk, err := m.CacheKey()
 		if err != nil {
 			return err
 		}
-		keys[i] = mk + ns + ok
+		keys[i] = mk + "#" + ch.ns + op + ch.opts
 	}
 	if err := e.acquire(ctx); err != nil {
 		e.countCancelled(err)
 		return err
 	}
 	defer e.release()
-	solver := optimize.NewSweepSolver(optimize.SweepOptions{PatternOptions: opts, Cold: cold})
 	for i, m := range models {
 		if err := ctx.Err(); err != nil {
 			e.countCancelled(err)
 			return err
 		}
-		var cell SweepCell
-		if r, ok := e.optimizes.Get(keys[i]); ok {
-			solver.Observe(m, r)
-			cell = SweepCell{Result: r, Cached: true}
+		r, ok := c.Get(keys[i])
+		if ok {
+			ch.observe(m, r)
 		} else {
-			r, err := solver.Solve(m)
-			if err != nil {
-				return fmt.Errorf("service: sweep cell %d: %w", i, err)
+			var err error
+			if r, err = ch.solve(m); err != nil {
+				return fmt.Errorf("service: %s cell %d: %w", ch.name, i, err)
 			}
-			e.optimizes.Add(keys[i], r)
-			cell = SweepCell{Result: r}
+			c.Add(keys[i], r)
 		}
-		if err := emit(i, cell); err != nil {
+		if err := emit(i, sweepCell[R]{Result: r, Cached: ok}); err != nil {
 			return err
 		}
 	}
@@ -447,7 +436,7 @@ func (e *Engine) Simulate(ctx context.Context, m core.Model, t, p float64, cfg s
 	e.simCalls.Add(1)
 	mk, err := m.CacheKey()
 	if err != nil {
-		return sim.RunResult{}, false, err
+		return res, false, err
 	}
 	// Normalize before keying: a zero-valued request and one spelling out
 	// the 500×500 defaults are the same campaign and must share a cache
@@ -455,27 +444,17 @@ func (e *Engine) Simulate(ctx context.Context, m core.Model, t, p float64, cfg s
 	// component, it cannot affect results).
 	cfg = cfg.WithDefaults()
 	cfg.Workers = e.opts.SimWorkers
-	key := simKey(mk, t, p, cfg)
-	if r, ok := e.sims.Get(key); ok {
-		return r, true, nil
-	}
-	v, shared, err := e.flight.do(ctx, key, func(ctx context.Context) (any, error) {
-		if err := e.acquire(ctx); err != nil {
-			return nil, err
-		}
-		defer e.release()
-		r, err := sim.SimulateContext(ctx, m, t, p, cfg)
-		if err != nil {
-			return nil, err
-		}
-		e.sims.Add(key, r)
-		return r, nil
-	})
-	if err != nil {
-		e.countCancelled(err)
-		return sim.RunResult{}, false, err
-	}
-	return v.(sim.RunResult), shared, nil
+	return memo(ctx, e, e.sims, simKey(mk, t, p, cfg), simulateJob{m, t, p, cfg})
+}
+
+type simulateJob struct {
+	m    core.Model
+	t, p float64
+	cfg  sim.RunConfig
+}
+
+func (j simulateJob) solve(ctx context.Context) (sim.RunResult, error) {
+	return sim.SimulateContext(ctx, j.m, j.t, j.p, j.cfg)
 }
 
 // acquire claims a scheduler slot: immediately if one is free, otherwise

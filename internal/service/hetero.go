@@ -35,29 +35,18 @@ func (e *Engine) HeteroOptimize(ctx context.Context, hm core.HeteroModel, opts h
 	e.hgOptCalls.Add(1)
 	hmk, err := hm.CacheKey()
 	if err != nil {
-		return hetero.PatternResult{}, false, err
+		return res, false, err
 	}
-	key := hmk + "#opt#" + hgOptionsKey(opts)
-	if r, ok := e.hgOptimizes.Get(key); ok {
-		return r, true, nil
-	}
-	v, shared, err := e.flight.do(ctx, key, func(ctx context.Context) (any, error) {
-		if err := e.acquire(ctx); err != nil {
-			return nil, err
-		}
-		defer e.release()
-		r, err := hetero.OptimalPattern(hm, opts)
-		if err != nil {
-			return nil, err
-		}
-		e.hgOptimizes.Add(key, r)
-		return r, nil
-	})
-	if err != nil {
-		e.countCancelled(err)
-		return hetero.PatternResult{}, false, err
-	}
-	return v.(hetero.PatternResult), shared, nil
+	return memo(ctx, e, e.hgOptimizes, hmk+"#opt#"+hgOptionsKey(opts), hgOptimizeJob{hm, opts})
+}
+
+type hgOptimizeJob struct {
+	hm   core.HeteroModel
+	opts hetero.PatternOptions
+}
+
+func (j hgOptimizeJob) solve(context.Context) (hetero.PatternResult, error) {
+	return hetero.OptimalPattern(j.hm, j.opts)
 }
 
 // hgSimKey canonically encodes a heterogeneous campaign request: the
@@ -134,45 +123,32 @@ func (e *Engine) HeteroSimulate(ctx context.Context, hm core.HeteroModel, plan [
 	e.hgSimCalls.Add(1)
 	hmk, err := hm.CacheKey()
 	if err != nil {
-		return sim.HeteroRunResult{}, false, err
+		return res, false, err
 	}
 	if err := validatePlan(hm, plan); err != nil {
-		return sim.HeteroRunResult{}, false, err
+		return res, false, err
 	}
 	cfg := sim.RunConfig{Runs: runs, Patterns: patterns, Seed: seed}.WithDefaults()
 	cfg.Workers = e.opts.SimWorkers
-	key := hgSimKey(hmk, plan, cfg)
-	if r, ok := e.hgSims.Get(key); ok {
-		return r, true, nil
-	}
-	v, shared, err := e.flight.do(ctx, key, func(ctx context.Context) (any, error) {
-		if err := e.acquire(ctx); err != nil {
-			return nil, err
-		}
-		defer e.release()
-		groups, err := heteroRuns(hm, plan)
-		if err != nil {
-			return nil, err
-		}
-		r, err := sim.SimulateHeteroContext(ctx, groups, cfg)
-		if err != nil {
-			return nil, err
-		}
-		e.hgSims.Add(key, r)
-		return r, nil
-	})
-	if err != nil {
-		e.countCancelled(err)
-		return sim.HeteroRunResult{}, false, err
-	}
-	return v.(sim.HeteroRunResult), shared, nil
+	return memo(ctx, e, e.hgSims, hgSimKey(hmk, plan, cfg), hgSimulateJob{hm, plan, cfg})
 }
 
-// HeteroSweepCell is one solved cell of a batched heterogeneous sweep.
-type HeteroSweepCell struct {
-	Result hetero.PatternResult
-	Cached bool
+type hgSimulateJob struct {
+	hm   core.HeteroModel
+	plan []hetero.GroupPlan
+	cfg  sim.RunConfig
 }
+
+func (j hgSimulateJob) solve(ctx context.Context) (sim.HeteroRunResult, error) {
+	groups, err := heteroRuns(j.hm, j.plan)
+	if err != nil {
+		return sim.HeteroRunResult{}, err
+	}
+	return sim.SimulateHeteroContext(ctx, groups, j.cfg)
+}
+
+// HeteroSweepCell is one solved cell of a heterogeneous sweep.
+type HeteroSweepCell = sweepCell[hetero.PatternResult]
 
 // HeteroSweepStream solves an ordered axis of related heterogeneous
 // models as one warm-start chain (hetero.SweepSolver) under a single
@@ -182,53 +158,10 @@ type HeteroSweepCell struct {
 // warm-mode cells live under a separate per-cell namespace.
 func (e *Engine) HeteroSweepStream(ctx context.Context, models []core.HeteroModel, opts hetero.PatternOptions, cold bool, emit func(i int, c HeteroSweepCell) error) error {
 	e.hgSweepCalls.Add(1)
-	if len(models) == 0 {
-		return errors.New("service: sweep needs at least one cell")
-	}
-	if len(models) > maxSweepKeyModels {
-		return fmt.Errorf("service: sweep of %d cells exceeds the %d-cell limit", len(models), maxSweepKeyModels)
-	}
-	ns := "#swopt#"
-	if cold {
-		ns = "#opt#"
-	}
-	ok := hgOptionsKey(opts)
-	keys := make([]string, len(models))
-	for i, hm := range models {
-		hmk, err := hm.CacheKey()
-		if err != nil {
-			return err
-		}
-		keys[i] = hmk + ns + ok
-	}
-	if err := e.acquire(ctx); err != nil {
-		e.countCancelled(err)
-		return err
-	}
-	defer e.release()
-	solver := hetero.NewSweepSolver(hetero.SweepOptions{PatternOptions: opts, Cold: cold})
-	for i, hm := range models {
-		if err := ctx.Err(); err != nil {
-			e.countCancelled(err)
-			return err
-		}
-		var cell HeteroSweepCell
-		if r, ok := e.hgOptimizes.Get(keys[i]); ok {
-			solver.Observe(hm, r)
-			cell = HeteroSweepCell{Result: r, Cached: true}
-		} else {
-			r, err := solver.Solve(hm)
-			if err != nil {
-				return fmt.Errorf("service: hetero sweep cell %d: %w", i, err)
-			}
-			e.hgOptimizes.Add(keys[i], r)
-			cell = HeteroSweepCell{Result: r}
-		}
-		if err := emit(i, cell); err != nil {
-			return err
-		}
-	}
-	return nil
+	s := hetero.NewSweepSolver(hetero.SweepOptions{PatternOptions: opts, Cold: cold})
+	return sweepChain(ctx, e, e.hgOptimizes, models, cold, chain[core.HeteroModel, hetero.PatternResult]{
+		name: "hetero sweep", opts: hgOptionsKey(opts), solve: s.Solve, observe: s.Observe,
+	}, emit)
 }
 
 // ---------------------------------------------------------------------

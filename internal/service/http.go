@@ -196,13 +196,6 @@ type MultilevelSweepSpec struct {
 	InMemFraction *float64 `json:"in_mem_fraction,omitempty"`
 }
 
-func (s *MultilevelSweepSpec) fraction() float64 {
-	if s.InMemFraction != nil {
-		return *s.InMemFraction
-	}
-	return defaultInMemFraction
-}
-
 // withAxis returns the spec with the axis parameter replaced by v.
 func (s ModelSpec) withAxis(axis string, v float64) (ModelSpec, error) {
 	switch axis {
@@ -704,7 +697,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		mlOpts := multilevel.PatternOptions{
 			PMin: req.Options.PMin, PMax: req.Options.PMax, IntegerP: req.Options.IntegerP,
 		}
-		err = s.engine.MultilevelSweepStream(ctx, models, req.Multilevel.fraction(), mlOpts, req.Cold,
+		err = s.engine.MultilevelSweepStream(ctx, models, inMemFraction(req.Multilevel.InMemFraction), mlOpts, req.Cold,
 			func(i int, c MultilevelSweepCell) error {
 				return writeRow(i, SweepRow{
 					X:        req.Values[i],

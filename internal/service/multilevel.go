@@ -2,11 +2,9 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
-	"strings"
 
 	"amdahlyd/internal/core"
 	"amdahlyd/internal/multilevel"
@@ -26,11 +24,22 @@ func mlOptionsKey(o multilevel.PatternOptions) string {
 }
 
 // validateFraction holds the request-supplied in-memory fraction to the
-// cache-key standard before it is keyed: NaN never compares equal, so a
-// NaN-keyed entry could never be hit or evicted by a repeat request.
+// cache-key standard and to the cost model's range before it is keyed or
+// queued: NaN never compares equal, so a NaN-keyed entry could never be
+// hit or evicted, and an out-of-range fraction would otherwise burn a
+// scheduler slot on a grid where every P is infeasible.
 func validateFraction(frac float64) error {
-	if math.IsNaN(frac) || math.IsInf(frac, 0) {
-		return fmt.Errorf("service: in-memory fraction %g must be finite", frac)
+	if !(frac >= 0 && frac <= 1) {
+		return fmt.Errorf("service: in-memory fraction %g outside [0,1]", frac)
+	}
+	return nil
+}
+
+// validateProcs holds a request-supplied two-level processor count to the
+// simulator's precondition: finite and at least one processor.
+func validateProcs(p float64) error {
+	if !(p >= 1) || math.IsInf(p, 0) {
+		return fmt.Errorf("service: processor count P = %g must be >= 1 and finite", p)
 	}
 	return nil
 }
@@ -44,33 +53,24 @@ func validateFraction(frac float64) error {
 func (e *Engine) MultilevelOptimize(ctx context.Context, m core.Model, frac float64, opts multilevel.PatternOptions) (res multilevel.PatternResult, cached bool, err error) {
 	e.mlOptCalls.Add(1)
 	if err := validateFraction(frac); err != nil {
-		return multilevel.PatternResult{}, false, err
+		return res, false, err
 	}
 	mk, err := m.CacheKey()
 	if err != nil {
-		return multilevel.PatternResult{}, false, err
+		return res, false, err
 	}
 	key := mk + "#" + mlKeyVersion + "opt#" + core.FormatFloatKey(frac) + "#" + mlOptionsKey(opts)
-	if r, ok := e.mlOptimizes.Get(key); ok {
-		return r, true, nil
-	}
-	v, shared, err := e.flight.do(ctx, key, func(ctx context.Context) (any, error) {
-		if err := e.acquire(ctx); err != nil {
-			return nil, err
-		}
-		defer e.release()
-		r, err := multilevel.OptimalPattern(m, multilevel.InMemoryFraction(m, frac), opts)
-		if err != nil {
-			return nil, err
-		}
-		e.mlOptimizes.Add(key, r)
-		return r, nil
-	})
-	if err != nil {
-		e.countCancelled(err)
-		return multilevel.PatternResult{}, false, err
-	}
-	return v.(multilevel.PatternResult), shared, nil
+	return memo(ctx, e, e.mlOptimizes, key, mlOptimizeJob{m, frac, opts})
+}
+
+type mlOptimizeJob struct {
+	m    core.Model
+	frac float64
+	opts multilevel.PatternOptions
+}
+
+func (j mlOptimizeJob) solve(context.Context) (multilevel.PatternResult, error) {
+	return multilevel.OptimalPattern(j.m, multilevel.InMemoryFraction(j.m, j.frac), j.opts)
 }
 
 // mlSimKey canonically encodes a two-level campaign request. Workers and
@@ -92,191 +92,67 @@ func mlSimKey(mk string, frac float64, pat multilevel.Pattern, p float64, cfg mu
 func (e *Engine) MultilevelSimulate(ctx context.Context, m core.Model, frac float64, pat multilevel.Pattern, p float64, runs, patterns int, seed uint64) (res multilevel.CampaignResult, cached bool, err error) {
 	e.mlSimCalls.Add(1)
 	if err := validateFraction(frac); err != nil {
-		return multilevel.CampaignResult{}, false, err
+		return res, false, err
 	}
-	if math.IsNaN(p) || math.IsInf(p, 0) {
-		return multilevel.CampaignResult{}, false, fmt.Errorf("service: processor count P = %g must be finite", p)
+	if err := validateProcs(p); err != nil {
+		return res, false, err
 	}
 	mk, err := m.CacheKey()
 	if err != nil {
-		return multilevel.CampaignResult{}, false, err
+		return res, false, err
 	}
 	cfg := multilevel.CampaignConfig{
 		Runs: runs, Patterns: patterns, Seed: seed,
 		HOfP: m.Profile.Overhead(p),
 	}.WithDefaults()
 	cfg.Workers = e.opts.SimWorkers
-	key := mlSimKey(mk, frac, pat, p, cfg)
-	if r, ok := e.mlSims.Get(key); ok {
-		return r, true, nil
-	}
-	v, shared, err := e.flight.do(ctx, key, func(ctx context.Context) (any, error) {
-		if err := e.acquire(ctx); err != nil {
-			return nil, err
-		}
-		defer e.release()
-		costs, err := multilevel.SingleLevelCosts(m, p, frac)
-		if err != nil {
-			return nil, err
-		}
-		lf, ls := m.Rates(p)
-		s, err := multilevel.NewSimulator(costs, pat, lf, ls)
-		if err != nil {
-			return nil, err
-		}
-		r, err := s.SimulateContext(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		e.mlSims.Add(key, r)
-		return r, nil
-	})
+	return memo(ctx, e, e.mlSims, mlSimKey(mk, frac, pat, p, cfg), mlSimulateJob{m, frac, pat, p, cfg})
+}
+
+type mlSimulateJob struct {
+	m    core.Model
+	frac float64
+	pat  multilevel.Pattern
+	p    float64
+	cfg  multilevel.CampaignConfig
+}
+
+func (j mlSimulateJob) solve(ctx context.Context) (multilevel.CampaignResult, error) {
+	costs, err := multilevel.SingleLevelCosts(j.m, j.p, j.frac)
 	if err != nil {
-		e.countCancelled(err)
-		return multilevel.CampaignResult{}, false, err
+		return multilevel.CampaignResult{}, err
 	}
-	return v.(multilevel.CampaignResult), shared, nil
-}
-
-// MultilevelSweepCell is one solved cell of a batched two-level sweep.
-type MultilevelSweepCell struct {
-	Result multilevel.PatternResult
-	Cached bool
-}
-
-// MultilevelSweep solves an ordered axis of related models as one
-// two-level warm-start chain (multilevel.SweepSolver): a single
-// scheduler slot, single-flight on the whole-axis key, one ml1| cache
-// entry per cell. Cold-mode cells are bit-identical to
-// MultilevelOptimize and share its cache entries in both directions;
-// warm-mode cells live under a separate per-cell namespace, exactly as
-// for the single-level sweep.
-func (e *Engine) MultilevelSweep(ctx context.Context, models []core.Model, frac float64, opts multilevel.PatternOptions, cold bool) (res []MultilevelSweepCell, shared bool, err error) {
-	e.mlSweepCalls.Add(1)
-	if len(models) == 0 {
-		return nil, false, errors.New("service: sweep needs at least one cell")
-	}
-	if len(models) > maxSweepKeyModels {
-		return nil, false, fmt.Errorf("service: sweep of %d cells exceeds the %d-cell limit", len(models), maxSweepKeyModels)
-	}
-	if err := validateFraction(frac); err != nil {
-		return nil, false, err
-	}
-	ns := "#" + mlKeyVersion + "swopt#"
-	if cold {
-		ns = "#" + mlKeyVersion + "opt#"
-	}
-	fk := core.FormatFloatKey(frac)
-	ok := mlOptionsKey(opts)
-	keys := make([]string, len(models))
-	var flightKey strings.Builder
-	flightKey.WriteString(mlKeyVersion)
-	flightKey.WriteString("sweep#")
-	if cold {
-		flightKey.WriteString("cold#")
-	}
-	flightKey.WriteString(fk)
-	flightKey.WriteString("#")
-	flightKey.WriteString(ok)
-	for i, m := range models {
-		mk, err := m.CacheKey()
-		if err != nil {
-			return nil, false, err
-		}
-		keys[i] = mk + ns + fk + "#" + ok
-		flightKey.WriteString("|")
-		flightKey.WriteString(mk)
-	}
-	v, shared, err := e.flight.do(ctx, flightKey.String(), func(ctx context.Context) (any, error) {
-		if err := e.acquire(ctx); err != nil {
-			return nil, err
-		}
-		defer e.release()
-		solver := multilevel.NewSweepSolver(multilevel.SweepOptions{PatternOptions: opts, Cold: cold})
-		out := make([]MultilevelSweepCell, len(models))
-		for i, m := range models {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if r, ok := e.mlOptimizes.Get(keys[i]); ok {
-				solver.Observe(r)
-				out[i] = MultilevelSweepCell{Result: r, Cached: true}
-				continue
-			}
-			r, err := solver.Solve(m, multilevel.InMemoryFraction(m, frac))
-			if err != nil {
-				return nil, fmt.Errorf("service: multilevel sweep cell %d: %w", i, err)
-			}
-			e.mlOptimizes.Add(keys[i], r)
-			out[i] = MultilevelSweepCell{Result: r}
-		}
-		return out, nil
-	})
+	lf, ls := j.m.Rates(j.p)
+	s, err := multilevel.NewSimulator(costs, j.pat, lf, ls)
 	if err != nil {
-		e.countCancelled(err)
-		return nil, false, err
+		return multilevel.CampaignResult{}, err
 	}
-	return v.([]MultilevelSweepCell), shared, nil
+	return s.SimulateContext(ctx, j.cfg)
 }
 
-// MultilevelSweepStream is the streaming counterpart of MultilevelSweep,
-// with the same contract as SweepStream: each cell reaches emit as soon
-// as the two-level chain solves it, a cancelled ctx or emit error stops
-// the chain at the next cell, cache namespaces are shared with the batch
-// path, and there is no single-flight.
+// MultilevelSweepCell is one solved cell of a two-level sweep.
+type MultilevelSweepCell = sweepCell[multilevel.PatternResult]
+
+// MultilevelSweepStream is the two-level counterpart of SweepStream, with
+// the same contract: one scheduler slot, each cell handed to emit as soon
+// as the chain (multilevel.SweepSolver) solves it, a cancelled ctx or
+// emit error stops the chain at the next cell. Cold-mode cells are
+// bit-identical to MultilevelOptimize and share its ml1| cache entries in
+// both directions; warm-mode cells live under a separate per-cell
+// namespace.
 func (e *Engine) MultilevelSweepStream(ctx context.Context, models []core.Model, frac float64, opts multilevel.PatternOptions, cold bool, emit func(i int, c MultilevelSweepCell) error) error {
 	e.mlSweepCalls.Add(1)
-	if len(models) == 0 {
-		return errors.New("service: sweep needs at least one cell")
-	}
-	if len(models) > maxSweepKeyModels {
-		return fmt.Errorf("service: sweep of %d cells exceeds the %d-cell limit", len(models), maxSweepKeyModels)
-	}
 	if err := validateFraction(frac); err != nil {
 		return err
 	}
-	ns := "#" + mlKeyVersion + "swopt#"
-	if cold {
-		ns = "#" + mlKeyVersion + "opt#"
-	}
-	fk := core.FormatFloatKey(frac)
-	ok := mlOptionsKey(opts)
-	keys := make([]string, len(models))
-	for i, m := range models {
-		mk, err := m.CacheKey()
-		if err != nil {
-			return err
-		}
-		keys[i] = mk + ns + fk + "#" + ok
-	}
-	if err := e.acquire(ctx); err != nil {
-		e.countCancelled(err)
-		return err
-	}
-	defer e.release()
-	solver := multilevel.NewSweepSolver(multilevel.SweepOptions{PatternOptions: opts, Cold: cold})
-	for i, m := range models {
-		if err := ctx.Err(); err != nil {
-			e.countCancelled(err)
-			return err
-		}
-		var cell MultilevelSweepCell
-		if r, ok := e.mlOptimizes.Get(keys[i]); ok {
-			solver.Observe(r)
-			cell = MultilevelSweepCell{Result: r, Cached: true}
-		} else {
-			r, err := solver.Solve(m, multilevel.InMemoryFraction(m, frac))
-			if err != nil {
-				return fmt.Errorf("service: multilevel sweep cell %d: %w", i, err)
-			}
-			e.mlOptimizes.Add(keys[i], r)
-			cell = MultilevelSweepCell{Result: r}
-		}
-		if err := emit(i, cell); err != nil {
-			return err
-		}
-	}
-	return nil
+	s := multilevel.NewSweepSolver(multilevel.SweepOptions{PatternOptions: opts, Cold: cold})
+	return sweepChain(ctx, e, e.mlOptimizes, models, cold, chain[core.Model, multilevel.PatternResult]{
+		name: "multilevel sweep", ns: mlKeyVersion, opts: core.FormatFloatKey(frac) + "#" + mlOptionsKey(opts),
+		solve: func(m core.Model) (multilevel.PatternResult, error) {
+			return s.Solve(m, multilevel.InMemoryFraction(m, frac))
+		},
+		observe: func(_ core.Model, r multilevel.PatternResult) { s.Observe(r) },
+	}, emit)
 }
 
 // ---------------------------------------------------------------------
@@ -311,9 +187,11 @@ type MultilevelOptimizeRequest struct {
 	Options       MultilevelOptions `json:"options,omitempty"`
 }
 
-func (r MultilevelOptimizeRequest) fraction() float64 {
-	if r.InMemFraction != nil {
-		return *r.InMemFraction
+// inMemFraction resolves an optional in-memory fraction: null/omitted
+// selects defaultInMemFraction, an explicit value (0 included) is kept.
+func inMemFraction(frac *float64) float64 {
+	if frac != nil {
+		return *frac
 	}
 	return defaultInMemFraction
 }
@@ -345,13 +223,6 @@ type MultilevelSimulateRequest struct {
 	Seed          uint64    `json:"seed,omitempty"`
 }
 
-func (r MultilevelSimulateRequest) fraction() float64 {
-	if r.InMemFraction != nil {
-		return *r.InMemFraction
-	}
-	return defaultInMemFraction
-}
-
 // MultilevelSimulateResponse mirrors multilevel.CampaignResult plus the
 // first-order prediction for the simulated pattern.
 type MultilevelSimulateResponse struct {
@@ -381,7 +252,8 @@ func (s *Server) handleMultilevelOptimize(w http.ResponseWriter, r *http.Request
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	res, cached, err := s.engine.MultilevelOptimize(r.Context(), m, req.fraction(), req.Options.pattern())
+	frac := inMemFraction(req.InMemFraction)
+	res, cached, err := s.engine.MultilevelOptimize(r.Context(), m, frac, req.Options.pattern())
 	if err != nil {
 		writeErr(w, statusFor(r.Context(), err), err)
 		return
@@ -391,7 +263,7 @@ func (s *Server) handleMultilevelOptimize(w http.ResponseWriter, r *http.Request
 		K:             res.K,
 		P:             res.P,
 		Overhead:      res.PredictedH,
-		InMemFraction: req.fraction(),
+		InMemFraction: frac,
 		AtPBound:      res.AtPBound,
 		Evals:         res.Evals,
 		Cached:        cached,
@@ -420,10 +292,15 @@ func (s *Server) handleMultilevelSimulate(w http.ResponseWriter, r *http.Request
 			eff.Runs, eff.Patterns, float64(maxRequestPatternBudget)))
 		return
 	}
-	frac := req.fraction()
+	frac := inMemFraction(req.InMemFraction)
 	p := req.P
 	if p == 0 {
 		p = pl.Processors
+	}
+	// Reject a bad P before the defaulting below prices costs at it.
+	if err := validateProcs(p); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
 	}
 	// One cost/rate derivation serves the pattern defaulting and the
 	// first-order prediction below (the engine re-derives inside its

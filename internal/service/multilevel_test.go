@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"amdahlyd/internal/core"
 	"amdahlyd/internal/costmodel"
 	"amdahlyd/internal/experiments"
 	"amdahlyd/internal/multilevel"
@@ -340,4 +341,78 @@ func relDiffF(a, b float64) float64 {
 		return 0
 	}
 	return d / m
+}
+
+// TestMultilevelSimulateRejectsBadP is the regression for a two-level
+// campaign at P < 1: it used to run the P=1 campaign, label it with the
+// bad P and cache it under its own key. Both the engine and the endpoint
+// must reject it, as /v1/simulate does.
+func TestMultilevelSimulateRejectsBadP(t *testing.T) {
+	srv, ts := newTestServer(t)
+	m, err := experiments.BuildModel(platform.Hera(), costmodel.Scenario3, 0.1, 3600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frac := testFrac
+	for _, p := range []float64{-5, 0.5} {
+		_, _, err := srv.Engine().MultilevelSimulate(context.Background(), m, testFrac,
+			multilevel.Pattern{T: 5000, K: 3}, p, 2, 2, 1)
+		if err == nil || !strings.Contains(err.Error(), "processor count") {
+			t.Errorf("engine P=%g: err = %v, want a processor-count error", p, err)
+		}
+		e, code := post[apiError](t, ts, "/v1/multilevel/simulate", MultilevelSimulateRequest{
+			Model: ModelSpec{Platform: "hera", Scenario: 3}, InMemFraction: &frac,
+			P: p, Runs: 2, Patterns: 2, Seed: 1,
+		})
+		if code != http.StatusBadRequest {
+			t.Errorf("HTTP P=%g: status %d, want 400 (%s)", p, code, e.Error)
+		}
+	}
+	if st := srv.Engine().Stats().MultilevelSimulateCache; st.Entries != 0 || st.Misses != 0 {
+		t.Errorf("a bad-P campaign reached the cache: %+v", st)
+	}
+}
+
+// TestMultilevelRejectsFractionOutOfRange: an in-memory fraction outside
+// [0, 1] is rejected before any cache probe or scheduler slot, on every
+// two-level entry point, instead of surfacing as "no feasible pattern"
+// after a full grid scan.
+func TestMultilevelRejectsFractionOutOfRange(t *testing.T) {
+	srv, ts := newTestServer(t)
+	e := srv.Engine()
+	ctx := context.Background()
+	m, err := experiments.BuildModel(platform.Hera(), costmodel.Scenario3, 0.1, 3600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, frac := range []float64{-1, 1.5} {
+		if _, _, err := e.MultilevelOptimize(ctx, m, frac, multilevel.PatternOptions{}); err == nil ||
+			!strings.Contains(err.Error(), "outside [0,1]") {
+			t.Errorf("optimize frac=%g: err = %v", frac, err)
+		}
+		if _, _, err := e.MultilevelSimulate(ctx, m, frac, multilevel.Pattern{T: 5000, K: 3}, 219, 2, 2, 1); err == nil {
+			t.Errorf("simulate frac=%g accepted", frac)
+		}
+		emitted := 0
+		err := e.MultilevelSweepStream(ctx, []core.Model{m}, frac, multilevel.PatternOptions{}, true,
+			func(int, MultilevelSweepCell) error { emitted++; return nil })
+		if err == nil || emitted != 0 {
+			t.Errorf("sweep frac=%g: err = %v after %d cells", frac, err, emitted)
+		}
+		f := frac
+		if _, code := post[apiError](t, ts, "/v1/multilevel/optimize", MultilevelOptimizeRequest{
+			Model: ModelSpec{Platform: "hera", Scenario: 3}, InMemFraction: &f,
+		}); code != http.StatusBadRequest {
+			t.Errorf("HTTP optimize frac=%g: status %d, want 400", frac, code)
+		}
+	}
+	st := e.Stats()
+	if st.MultilevelOptimizeCache.Misses != 0 || st.MultilevelSimulateCache.Misses != 0 {
+		t.Errorf("out-of-range fractions reached the caches: %+v", st)
+	}
+	for _, frac := range []float64{0, 1} {
+		if err := validateFraction(frac); err != nil {
+			t.Errorf("boundary fraction %g rejected: %v", frac, err)
+		}
+	}
 }

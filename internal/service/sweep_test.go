@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -15,6 +16,8 @@ import (
 	"amdahlyd/internal/core"
 	"amdahlyd/internal/costmodel"
 	"amdahlyd/internal/experiments"
+	"amdahlyd/internal/hetero"
+	"amdahlyd/internal/multilevel"
 	"amdahlyd/internal/optimize"
 	"amdahlyd/internal/platform"
 	"amdahlyd/internal/xmath"
@@ -35,81 +38,171 @@ func sweepModels(t *testing.T, lambdas []float64) []core.Model {
 
 var sweepLambdas = []float64{1e-10, 2e-10, 4e-10, 8e-10, 1.6e-9}
 
-// TestEngineSweepColdBitIdenticalToOptimize pins the cold-mode contract:
-// every cell equals a per-cell Optimize result bitwise, and the two
-// paths share cache entries in both directions.
-func TestEngineSweepColdBitIdenticalToOptimize(t *testing.T) {
-	e := NewEngine(Options{})
-	ctx := context.Background()
-	models := sweepModels(t, sweepLambdas)
-	cells, _, err := e.Sweep(ctx, models, optimize.PatternOptions{}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, m := range models {
-		res, cached, err := e.Optimize(ctx, m, optimize.PatternOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !cached {
-			t.Errorf("cell %d: cold sweep did not warm the optimize cache", i)
-		}
-		if res != cells[i].Result {
-			t.Errorf("cell %d: sweep %+v != optimize %+v", i, cells[i].Result, res)
-		}
-	}
+// sweepProtocol adapts one protocol's engine surface to the sweep
+// contract test; results travel as any so one table covers all three.
+type sweepProtocol struct {
+	name  string
+	cells int
+	// sweep runs the protocol's SweepStream over its axis.
+	sweep func(e *Engine, cold bool) (res []any, cached []bool, err error)
+	// optimize is the per-cell memoized optimize; library the direct call.
+	optimize func(e *Engine, i int) (any, bool, error)
+	library  func(i int) (any, error)
+	overhead func(r any) float64
+	calls    func(Stats) uint64
 }
 
-// TestEngineSweepWarmWithinTolAndIsolated checks the warm mode: cells
-// agree with per-cell OptimalPattern within the refinement tolerance,
-// the per-cell cache serves a repeat sweep, and the /v1/optimize cache
-// is NOT polluted (bit-exactness of optimize survives a warm sweep).
-func TestEngineSweepWarmWithinTolAndIsolated(t *testing.T) {
-	e := NewEngine(Options{})
+func sweepProtocols(t *testing.T) []sweepProtocol {
+	t.Helper()
 	ctx := context.Background()
 	models := sweepModels(t, sweepLambdas)
-	cells, _, err := e.Sweep(ctx, models, optimize.PatternOptions{}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, m := range models {
-		cold, err := optimize.OptimalPattern(m, optimize.PatternOptions{})
+	mlModels := sweepModels(t, []float64{1e-9, 2e-9, 4e-9, 8e-9})
+	comms := []float64{0, 1e-6, 4e-6, 1e-5}
+	hms := make([]core.HeteroModel, len(comms))
+	for i, c := range comms {
+		hm, _, err := testTopologySpec(c).Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := xmath.RelDiff(cells[i].Result.Overhead, cold.Overhead); d > 1e-8 {
-			t.Errorf("cell %d: overhead off by %.3g", i, d)
-		}
-		if d := xmath.RelDiff(cells[i].Result.P, cold.P); d > 1e-4 {
-			t.Errorf("cell %d: P* off by %.3g", i, d)
-		}
-		res, cached, err := e.Optimize(ctx, m, optimize.PatternOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cached && i == 0 {
-			// The first optimize after a warm sweep must be a genuine
-			// solve, not a warm-sweep cache hit.
-			t.Error("warm sweep polluted the optimize cache")
-		}
-		if res.T != cold.T || res.P != cold.P {
-			t.Errorf("cell %d: optimize after warm sweep is not bit-identical to OptimalPattern", i)
-		}
+		hms[i] = hm
 	}
-	again, _, err := e.Sweep(ctx, models, optimize.PatternOptions{}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range again {
-		if !again[i].Cached {
-			t.Errorf("cell %d: repeat sweep missed the per-cell cache", i)
-		}
-		if again[i].Result != cells[i].Result {
-			t.Errorf("cell %d: repeat sweep returned different bits", i)
-		}
-	}
-	if st := e.Stats(); st.SweepCalls != 2 {
-		t.Errorf("SweepCalls = %d, want 2", st.SweepCalls)
+	return []sweepProtocol{{
+		name:  "single",
+		cells: len(models),
+		sweep: func(e *Engine, cold bool) (res []any, cached []bool, err error) {
+			err = e.SweepStream(ctx, models, optimize.PatternOptions{}, cold, func(_ int, c SweepCell) error {
+				res, cached = append(res, c.Result), append(cached, c.Cached)
+				return nil
+			})
+			return res, cached, err
+		},
+		optimize: func(e *Engine, i int) (any, bool, error) {
+			return e.Optimize(ctx, models[i], optimize.PatternOptions{})
+		},
+		library:  func(i int) (any, error) { return optimize.OptimalPattern(models[i], optimize.PatternOptions{}) },
+		overhead: func(r any) float64 { return r.(optimize.PatternResult).Overhead },
+		calls:    func(st Stats) uint64 { return st.SweepCalls },
+	}, {
+		name:  "multilevel",
+		cells: len(mlModels),
+		sweep: func(e *Engine, cold bool) (res []any, cached []bool, err error) {
+			err = e.MultilevelSweepStream(ctx, mlModels, testFrac, multilevel.PatternOptions{}, cold, func(_ int, c MultilevelSweepCell) error {
+				res, cached = append(res, c.Result), append(cached, c.Cached)
+				return nil
+			})
+			return res, cached, err
+		},
+		optimize: func(e *Engine, i int) (any, bool, error) {
+			return e.MultilevelOptimize(ctx, mlModels[i], testFrac, multilevel.PatternOptions{})
+		},
+		library: func(i int) (any, error) {
+			m := mlModels[i]
+			return multilevel.OptimalPattern(m, multilevel.InMemoryFraction(m, testFrac), multilevel.PatternOptions{})
+		},
+		overhead: func(r any) float64 { return r.(multilevel.PatternResult).PredictedH },
+		calls:    func(st Stats) uint64 { return st.MultilevelSweepCalls },
+	}, {
+		name:  "hetero",
+		cells: len(hms),
+		sweep: func(e *Engine, cold bool) (res []any, cached []bool, err error) {
+			err = e.HeteroSweepStream(ctx, hms, hetero.PatternOptions{}, cold, func(_ int, c HeteroSweepCell) error {
+				res, cached = append(res, c.Result), append(cached, c.Cached)
+				return nil
+			})
+			return res, cached, err
+		},
+		optimize: func(e *Engine, i int) (any, bool, error) {
+			return e.HeteroOptimize(ctx, hms[i], hetero.PatternOptions{})
+		},
+		library:  func(i int) (any, error) { return hetero.OptimalPattern(hms[i], hetero.PatternOptions{}) },
+		overhead: func(r any) float64 { return r.(hetero.PatternResult).Overhead },
+		calls:    func(st Stats) uint64 { return st.HeteroSweepCalls },
+	}}
+}
+
+// TestEngineSweepContract pins the SweepStream contract of every
+// protocol. Cold cells are bit-identical to per-cell optimize and share
+// its cache entries in both directions. Warm cells agree within the
+// refinement tolerance but never populate the optimize namespace (so
+// optimize stays bit-exact after a warm sweep), and a repeat sweep is
+// served from the per-cell cache.
+func TestEngineSweepContract(t *testing.T) {
+	for _, p := range sweepProtocols(t) {
+		t.Run(p.name+"/cold", func(t *testing.T) {
+			e := NewEngine(Options{})
+			// Optimize primes the sweep: cell 0 is solved first per cell.
+			if _, _, err := p.optimize(e, 0); err != nil {
+				t.Fatal(err)
+			}
+			res, cached, err := p.sweep(e, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res) != p.cells {
+				t.Fatalf("%d cells emitted, want %d", len(res), p.cells)
+			}
+			for i := range res {
+				if cached[i] != (i == 0) {
+					t.Errorf("cell %d: cached = %t", i, cached[i])
+				}
+				lib, err := p.library(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(res[i], lib) {
+					t.Errorf("cell %d: cold sweep %+v != library %+v", i, res[i], lib)
+				}
+				// The sweep primes optimize: every cell is now a hit.
+				r, hit, err := p.optimize(e, i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !hit || !reflect.DeepEqual(r, res[i]) {
+					t.Errorf("cell %d: optimize after cold sweep cached=%t, same=%t", i, hit, reflect.DeepEqual(r, res[i]))
+				}
+			}
+		})
+		t.Run(p.name+"/warm", func(t *testing.T) {
+			e := NewEngine(Options{})
+			res, _, err := p.sweep(e, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range res {
+				lib, err := p.library(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := xmath.RelDiff(p.overhead(res[i]), p.overhead(lib)); d > 1e-8 {
+					t.Errorf("cell %d: warm overhead off by %.3g", i, d)
+				}
+				r, hit, err := p.optimize(e, i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if hit {
+					t.Errorf("cell %d: warm sweep populated the optimize cache", i)
+				}
+				if !reflect.DeepEqual(r, lib) {
+					t.Errorf("cell %d: optimize after warm sweep is not bit-identical to the library", i)
+				}
+			}
+			again, cached, err := p.sweep(e, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range again {
+				if !cached[i] {
+					t.Errorf("cell %d: repeat sweep missed the per-cell cache", i)
+				}
+				if !reflect.DeepEqual(again[i], res[i]) {
+					t.Errorf("cell %d: repeat sweep returned different bits", i)
+				}
+			}
+			if n := p.calls(e.Stats()); n != 2 {
+				t.Errorf("sweep calls = %d, want 2", n)
+			}
+		})
 	}
 }
 

@@ -6,11 +6,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-
-	"amdahlyd/internal/hetero"
-	"amdahlyd/internal/multilevel"
-	"amdahlyd/internal/optimize"
-	"amdahlyd/internal/sim"
 )
 
 // Peer warm-fill: when a fleet replica joins (or rejoins) the ring, it
@@ -38,6 +33,48 @@ const (
 	KindHeteroSimulate     = "hgsim"
 )
 
+// resultCache is the type-erased warm-fill view of one typed result LRU.
+type resultCache interface {
+	// appendHot appends up to limit-len(out) hot entries, tagged kind.
+	appendHot(out []CacheEntry, kind string, limit int) []CacheEntry
+	// fill decodes raw as the cache's value type and inserts it.
+	fill(key string, raw json.RawMessage) bool
+}
+
+// kindCache is one row of the engine's result-cache table.
+type kindCache struct {
+	kind  string
+	cache resultCache
+}
+
+// newResultCache allocates the typed result LRU behind slot and returns
+// it as a table entry.
+func newResultCache[V any](slot **lruCache[V], size int) resultCache {
+	*slot = newLRU[V](size)
+	return *slot
+}
+
+func (c *lruCache[V]) appendHot(out []CacheEntry, kind string, limit int) []CacheEntry {
+	keys, vals := c.Hot(limit - len(out))
+	for i, key := range keys {
+		raw, err := json.Marshal(vals[i])
+		if err != nil {
+			continue // an unrepresentable value is skipped, not fatal
+		}
+		out = append(out, CacheEntry{Kind: kind, Key: key, Value: raw})
+	}
+	return out
+}
+
+func (c *lruCache[V]) fill(key string, raw json.RawMessage) bool {
+	var v V
+	if json.Unmarshal(raw, &v) != nil {
+		return false
+	}
+	c.Add(key, v)
+	return true
+}
+
 // CacheEntry is one transferable cache entry: the canonical key, the
 // cache it lives in, and the typed value as raw JSON.
 type CacheEntry struct {
@@ -55,8 +92,8 @@ const (
 )
 
 // ExportHot snapshots up to limit hot cache entries across the result
-// caches, optimizer results first (they are the expensive solves a cold
-// replica feels most), then campaign results with the remaining budget.
+// caches in table order — optimizer results first, then campaign results
+// with the remaining budget.
 func (e *Engine) ExportHot(limit int) []CacheEntry {
 	if limit <= 0 {
 		limit = defaultHotLimit
@@ -65,49 +102,9 @@ func (e *Engine) ExportHot(limit int) []CacheEntry {
 		limit = maxHotLimit
 	}
 	out := make([]CacheEntry, 0, limit)
-	appendEntries := func(kind string, keys []string, marshal func(i int) (json.RawMessage, error)) {
-		for i := range keys {
-			if len(out) >= limit {
-				return
-			}
-			raw, err := marshal(i)
-			if err != nil {
-				continue // an unrepresentable value is skipped, not fatal
-			}
-			out = append(out, CacheEntry{Kind: kind, Key: keys[i], Value: raw})
-		}
+	for _, rc := range e.results {
+		out = rc.cache.appendHot(out, rc.kind, limit)
 	}
-	marshalAt := func(vals any) func(i int) (json.RawMessage, error) {
-		return func(i int) (json.RawMessage, error) {
-			switch vs := vals.(type) {
-			case []optimize.PatternResult:
-				return json.Marshal(vs[i])
-			case []multilevel.PatternResult:
-				return json.Marshal(vs[i])
-			case []hetero.PatternResult:
-				return json.Marshal(vs[i])
-			case []sim.RunResult:
-				return json.Marshal(vs[i])
-			case []multilevel.CampaignResult:
-				return json.Marshal(vs[i])
-			case []sim.HeteroRunResult:
-				return json.Marshal(vs[i])
-			}
-			return nil, fmt.Errorf("service: unknown hot-entry type %T", vals)
-		}
-	}
-	ok, ov := e.optimizes.Hot(limit)
-	appendEntries(KindOptimize, ok, marshalAt(ov))
-	mk, mv := e.mlOptimizes.Hot(limit - len(out))
-	appendEntries(KindMultilevelOptimize, mk, marshalAt(mv))
-	hk, hv := e.hgOptimizes.Hot(limit - len(out))
-	appendEntries(KindHeteroOptimize, hk, marshalAt(hv))
-	sk, sv := e.sims.Hot(limit - len(out))
-	appendEntries(KindSimulate, sk, marshalAt(sv))
-	msk, msv := e.mlSims.Hot(limit - len(out))
-	appendEntries(KindMultilevelSimulate, msk, marshalAt(msv))
-	hsk, hsv := e.hgSims.Hot(limit - len(out))
-	appendEntries(KindHeteroSimulate, hsk, marshalAt(hsv))
 	return out
 }
 
@@ -126,41 +123,8 @@ func (e *Engine) ImportHot(entries []CacheEntry) (int, error) {
 		if en.Key == "" || !strings.Contains(en.Key, "#") {
 			continue
 		}
-		switch en.Kind {
-		case KindOptimize:
-			var v optimize.PatternResult
-			if json.Unmarshal(en.Value, &v) == nil {
-				e.optimizes.Add(en.Key, v)
-				accepted++
-			}
-		case KindMultilevelOptimize:
-			var v multilevel.PatternResult
-			if json.Unmarshal(en.Value, &v) == nil {
-				e.mlOptimizes.Add(en.Key, v)
-				accepted++
-			}
-		case KindHeteroOptimize:
-			var v hetero.PatternResult
-			if json.Unmarshal(en.Value, &v) == nil {
-				e.hgOptimizes.Add(en.Key, v)
-				accepted++
-			}
-		case KindSimulate:
-			var v sim.RunResult
-			if json.Unmarshal(en.Value, &v) == nil {
-				e.sims.Add(en.Key, v)
-				accepted++
-			}
-		case KindMultilevelSimulate:
-			var v multilevel.CampaignResult
-			if json.Unmarshal(en.Value, &v) == nil {
-				e.mlSims.Add(en.Key, v)
-				accepted++
-			}
-		case KindHeteroSimulate:
-			var v sim.HeteroRunResult
-			if json.Unmarshal(en.Value, &v) == nil {
-				e.hgSims.Add(en.Key, v)
+		for _, rc := range e.results {
+			if rc.kind == en.Kind && rc.cache.fill(en.Key, en.Value) {
 				accepted++
 			}
 		}
