@@ -167,3 +167,31 @@ func TestFrozenOverflowsBeyondMonotone(t *testing.T) {
 	}
 	t.Skip("no overflow point found in probe range (platform too reliable)")
 }
+
+// FuzzFrozenOverheadLog pins the fused log-period kernel to the
+// specification: Frozen.OverheadLog(u) must equal Model.Overhead(e^u, P)
+// bit for bit for every valid model, P ≥ 1 and u. The optimizer's
+// certified grid scans rest on this (their error model is stated for the
+// specification's formula). The seed corpus is in testdata/fuzz.
+func FuzzFrozenOverheadLog(f *testing.F) {
+	f.Fuzz(func(t *testing.T, lambda, fs float64, scenario uint8, downtime, alpha, p, u float64) {
+		sc := costmodel.AllScenarios[int(scenario)%len(costmodel.AllScenarios)]
+		res, err := sc.Calibrate(512, 300, 15.4, downtime)
+		if err != nil {
+			t.Skip()
+		}
+		var profile speedup.Profile = speedup.Amdahl{Alpha: alpha}
+		if alpha == 0 {
+			profile = speedup.PerfectlyParallel{}
+		}
+		m := Model{LambdaInd: lambda, FailStopFrac: fs, SilentFrac: 1 - fs, Res: res, Profile: profile}
+		if m.Validate() != nil || !(alpha >= 0 && alpha <= 1) || !(p >= 1) || math.IsInf(p, 1) {
+			t.Skip()
+		}
+		fz := m.Freeze(p)
+		got, want := fz.OverheadLog(u), m.Overhead(math.Exp(u), p)
+		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("OverheadLog(%v) = %v, Model.Overhead(e^u, %v) = %v", u, got, p, want)
+		}
+	})
+}

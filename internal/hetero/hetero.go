@@ -99,7 +99,9 @@ type PatternResult struct {
 	// Overhead is the combined overhead H = 1/Σ 1/A_g (A_0 itself when a
 	// single group is active — not the round-tripped reciprocal).
 	Overhead float64
-	// Evals counts exact-formula evaluations across all per-group solves.
+	// Evals counts exact-formula evaluations across all distinct
+	// per-group solves (a memoized solve reused by several active counts
+	// counts once).
 	Evals int
 	// Warm reports the result came from a SweepSolver warm-start solve.
 	Warm bool
@@ -133,7 +135,7 @@ func OptimalPattern(hm core.HeteroModel, opts PatternOptions) (PatternResult, er
 	cold := func(g, active int, m core.Model, po optimize.PatternOptions) (optimize.PatternResult, error) {
 		return optimize.OptimalPattern(m, po)
 	}
-	res, err := solveScan(hm, opts, memoized(hm, cold), &evals)
+	res, err := solveScan(hm, opts, memoized(hm, cold, &evals))
 	if err != nil {
 		return PatternResult{}, err
 	}
@@ -143,8 +145,9 @@ func OptimalPattern(hm core.HeteroModel, opts PatternOptions) (PatternResult, er
 
 // memoized wraps a solver with a per-call cache keyed by (group, comm
 // charge): distinct active counts reuse the identical solve whenever the
-// effective profile is unchanged (always, when Comm = 0).
-func memoized(hm core.HeteroModel, solve solverFunc) solverFunc {
+// effective profile is unchanged (always, when Comm = 0). Each distinct
+// solve's Evals is added to *evals once, on the miss that ran it.
+func memoized(hm core.HeteroModel, solve solverFunc, evals *int) solverFunc {
 	type key struct {
 		group int
 		extra float64
@@ -160,6 +163,7 @@ func memoized(hm core.HeteroModel, solve solverFunc) solverFunc {
 			return e.res, e.err
 		}
 		res, err := solve(g, active, m, po)
+		*evals += res.Evals
 		memo[k] = entry{res: res, err: err}
 		return res, err
 	}
@@ -169,7 +173,7 @@ func memoized(hm core.HeteroModel, solve solverFunc) solverFunc {
 // solves that fail (no feasible pattern in the group's box) exclude the
 // group from that active count; an active count with fewer feasible
 // groups than G contributes no candidate.
-func solveScan(hm core.HeteroModel, opts PatternOptions, solve solverFunc, evals *int) (PatternResult, error) {
+func solveScan(hm core.HeteroModel, opts PatternOptions, solve solverFunc) (PatternResult, error) {
 	n := len(hm.Groups)
 	maxG := n
 	if opts.MaxGroups > 0 && opts.MaxGroups < n {
@@ -190,7 +194,6 @@ func solveScan(hm core.HeteroModel, opts PatternOptions, solve solverFunc, evals
 				// the remaining groups may still carry the job.
 				continue
 			}
-			*evals += res.Evals
 			solves = append(solves, groupSolve{group: g, res: res, ok: true})
 		}
 		if len(solves) < active {

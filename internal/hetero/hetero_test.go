@@ -303,6 +303,50 @@ func TestSweepColdModeBitIdentical(t *testing.T) {
 	}
 }
 
+// TestEvalsCountEachDistinctSolveOnce pins the evaluation accounting of
+// the memoized active-count scan: with zero comm every active count
+// reuses each group's one solve, and Evals must count that solve once,
+// not once per active count that reads it — on the cold path and on a
+// warm chain's first cell alike.
+func TestEvalsCountEachDistinctSolveOnce(t *testing.T) {
+	hm := compile(t, heraAccel(0), costmodel.Scenario3, 0.1, 3600)
+	opts := PatternOptions{}
+
+	cold, err := OptimalPattern(hm, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for g := range hm.Groups {
+		m, err := hm.ActiveModel(g, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := optimize.OptimalPattern(m, opts.groupOptions(hm.Groups[g].Size))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += res.Evals
+	}
+	if cold.Evals != want {
+		t.Errorf("cold Evals = %d, want %d (one solve per group)", cold.Evals, want)
+	}
+
+	s := NewSweepSolver(SweepOptions{PatternOptions: opts})
+	warm, err := s.Solve(hm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = 0
+	for _, sv := range s.chains {
+		want += sv.Stats().Evals
+	}
+	if len(s.chains) != len(hm.Groups) || warm.Evals != want || s.Stats().Evals != want {
+		t.Errorf("warm Evals = %d (stats %d) over %d chains, want %d over %d",
+			warm.Evals, s.Stats().Evals, len(s.chains), want, len(hm.Groups))
+	}
+}
+
 // TestCompileTopologyDegenerateProfile pins that a speed-1 zero-comm
 // group compiles to the plain Amdahl profile — same cache key as the
 // classical model, so the hg1| cache layer and the m1| layer share

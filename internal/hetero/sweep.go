@@ -12,10 +12,10 @@ import (
 type SweepOptions struct {
 	// PatternOptions bounds the search exactly as for OptimalPattern.
 	PatternOptions
-	// BracketFactor, WarmGridP and WarmGridT configure the per-group warm
-	// brackets (defaults 32, 10, 10, as in optimize.SweepOptions).
-	BracketFactor        float64
-	WarmGridP, WarmGridT int
+	// BracketFactor and WarmGridP configure the per-group warm brackets
+	// (defaults 32 and 10, as in optimize.SweepOptions).
+	BracketFactor float64
+	WarmGridP     int
 	// Cold disables warm-starting entirely: every cell runs the reference
 	// OptimalPattern scan and is bit-identical to a per-cell call.
 	Cold bool
@@ -87,7 +87,6 @@ func (s *SweepSolver) chain(g, active int, po optimize.PatternOptions) *optimize
 			PatternOptions: po,
 			BracketFactor:  s.opts.BracketFactor,
 			WarmGridP:      s.opts.WarmGridP,
-			WarmGridT:      s.opts.WarmGridT,
 		})
 		s.chains[k] = sv
 	}
@@ -144,7 +143,7 @@ func (s *SweepSolver) Solve(hm core.HeteroModel) (PatternResult, error) {
 		s.stats.Fallbacks += after.Fallbacks - before.Fallbacks
 		return res, err
 	}
-	res, err := solveScan(hm, s.opts.PatternOptions, memoized(hm, warm), &evals)
+	res, err := solveScan(hm, s.opts.PatternOptions, memoized(hm, warm, &evals))
 	if err != nil {
 		return PatternResult{}, err
 	}

@@ -1,7 +1,6 @@
 package optimize
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -74,7 +73,8 @@ type PatternResult struct {
 	// bound (this happens by design in scenario 6 with α = 0, where the
 	// paper finds the allocation unbounded).
 	AtPBound bool
-	// Evals counts exact-formula evaluations.
+	// Evals counts the exact-formula (kernel) evaluations the solve
+	// actually made.
 	Evals int
 	// Warm reports that the result was produced by a SweepSolver
 	// warm-start solve (narrow bracket around the previous cell's
@@ -91,124 +91,13 @@ func OptimalPeriod(m core.Model, p float64, opts PatternOptions) (float64, float
 		return 0, 0, err
 	}
 	fz := m.Freeze(p)
-	res, err := minimizeT(&fz, opts)
-	if err != nil {
-		return 0, 0, err
+	pr := prober{opts: opts}
+	g, _ := pr.scanT(&fz, false)
+	if g.err != nil {
+		return 0, 0, g.err
 	}
+	res := refineT(&fz, &g, opts.Tol, false)
 	return res.X, res.F, nil
-}
-
-// minimizeT solves the inner period problem min_T H(T, P) on a compiled
-// evaluator, so the ~50–100 objective evaluations of the grid scan and the
-// golden refinement pay only the frozen per-call cost (no Rates, cost-model
-// or exponential recomputation).
-//
-// The search runs natively in u = log T coordinates with the exp transform
-// fused into the frozen kernel (OverheadLog), through gridRefineFrozen —
-// a statically dispatched replica of GridRefine+Golden. The grid points,
-// probes and refinement are bit-identical to GridRefine's log-axis mode.
-func minimizeT(fz *core.Frozen, opts PatternOptions) (Result, error) {
-	lo, hi := opts.TMin, opts.TMax
-	// Tighten the bracket around the first-order seed: the exact optimum
-	// sits within a small factor of Theorem 1's T*_P whenever the
-	// approximation is anywhere near valid.
-	if seed := fz.OptimalPeriod(); !math.IsInf(seed, 0) && seed > 0 {
-		lo = math.Max(opts.TMin, seed/1e3)
-		hi = math.Min(opts.TMax, seed*1e3)
-		if !(hi > lo) {
-			lo, hi = opts.TMin, opts.TMax
-		}
-	}
-	res, err := gridRefineFrozen(fz, math.Log(lo), math.Log(hi), opts.GridT, opts.Tol)
-	if err != nil {
-		// Fall back to the full range (the seed bracket may have missed).
-		res, err = gridRefineFrozen(fz, math.Log(opts.TMin), math.Log(opts.TMax), opts.GridT*2, opts.Tol)
-		if err != nil {
-			return res, err
-		}
-	}
-	res.X = math.Exp(res.X)
-	return res, nil
-}
-
-// gridRefineFrozen is GridRefine (linear axis) followed by Golden,
-// specialized to the frozen overhead kernel: every objective evaluation is
-// a static call to Frozen.OverheadLog instead of two closure dispatches,
-// which is worth ~10% of the whole nested optimization at the ~10⁴
-// evaluations a single OptimalPattern performs. The probe sequence, the
-// tie-breaking and the convergence tests replicate GridRefine and Golden
-// exactly (the determinism tests pin the equivalence).
-func gridRefineFrozen(fz *core.Frozen, uLo, uHi float64, points int, tol float64) (Result, error) {
-	if !(uHi > uLo) {
-		return Result{}, errGridBounds
-	}
-	if points < 3 {
-		return Result{}, errGridPoints
-	}
-	// The overhead's overflow exponent is monotone in the period, so an
-	// overflow at the grid's low edge proves every grid point is +Inf:
-	// reject the whole bracket after one probe instead of points+refine
-	// evaluations (this is what the P-grid's deep failure-dominated tail
-	// costs otherwise).
-	if fz.OverflowsBeyond(uLo) {
-		return Result{}, errGridAllInf
-	}
-	step := (uHi - uLo) / float64(points-1)
-	gridPoint := func(i int) float64 {
-		if i == points-1 {
-			return uHi
-		}
-		return uLo + float64(i)*step
-	}
-
-	bestI, bestF := 0, math.Inf(1)
-	for i := 0; i < points; i++ {
-		if v := fz.OverheadLog(gridPoint(i)); v < bestF {
-			bestI, bestF = i, v
-		}
-	}
-	if math.IsInf(bestF, 1) {
-		return Result{}, errGridAllInf
-	}
-
-	// Golden-section refinement within the bracket around the best grid
-	// point (tol and iteration budget as Golden's defaults).
-	a := gridPoint(max(bestI-1, 0))
-	b := gridPoint(min(bestI+1, points-1))
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	x1 := b - invPhi*(b-a)
-	x2 := a + invPhi*(b-a)
-	f1, f2 := fz.OverheadLog(x1), fz.OverheadLog(x2)
-	evals := 2
-	converged := false
-	for i := 0; i < 200; i++ {
-		if b-a <= tol*(1+math.Abs(a)+math.Abs(b)) {
-			converged = true
-			break
-		}
-		if f1 <= f2 { // keep [a, x2]
-			b, x2, f2 = x2, x1, f1
-			x1 = b - invPhi*(b-a)
-			f1 = fz.OverheadLog(x1)
-		} else { // keep [x1, b]
-			a, x1, f1 = x1, x2, f2
-			x2 = a + invPhi*(b-a)
-			f2 = fz.OverheadLog(x2)
-		}
-		evals++
-	}
-	res := Result{X: x1, F: f1, Evals: evals, Converged: converged}
-	if f1 > f2 {
-		res.X, res.F = x2, f2
-	}
-	res.Evals += points
-	// The grid best might still beat the refined point on plateaus.
-	if bestF < res.F {
-		res.X, res.F = gridPoint(bestI), bestF
-	}
-	return res, nil
 }
 
 // OptimalPattern minimizes the exact overhead jointly over T and P by a
@@ -216,6 +105,11 @@ func gridRefineFrozen(fz *core.Frozen, uLo, uHi float64, points int, tol float64
 // problem exactly at each probe. This is the reproduction of the paper's
 // "Optimal (numerical)" solution (the role played by the iterative method
 // of Jin et al. [14] in the paper's comparison).
+//
+// Each distinct P is compiled (Freeze) and minimized over T a single
+// time, and the prober's certificates skip every kernel call that
+// cannot change the answer: the result is bit-identical to the plain
+// nested grid-plus-golden scan, and Evals counts the calls made.
 func OptimalPattern(m core.Model, opts PatternOptions) (PatternResult, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
@@ -224,72 +118,8 @@ func OptimalPattern(m core.Model, opts PatternOptions) (PatternResult, error) {
 	if err := m.Validate(); err != nil {
 		return PatternResult{}, err
 	}
-
-	evals := 0
-	// probe solves the inner period problem at P exactly once: the outer
-	// grid scan, the golden refinement and the integer rounding all
-	// re-visit grid points and bracket endpoints, and the memo guarantees
-	// each distinct P is compiled (Freeze) and minimized a single time.
-	type innerProbe struct {
-		res Result
-		err error
-	}
-	memo := make(map[float64]innerProbe, opts.GridP+8)
-	probe := func(p float64) innerProbe {
-		if pr, ok := memo[p]; ok {
-			return pr
-		}
-		fz := m.Freeze(p)
-		res, err := minimizeT(&fz, opts)
-		evals += res.Evals
-		pr := innerProbe{res: res, err: err}
-		memo[p] = pr
-		return pr
-	}
-	// g(P) = min_T H(T, P); +Inf marks an inner failure.
-	g := func(p float64) float64 {
-		pr := probe(p)
-		if pr.err != nil {
-			return math.Inf(1)
-		}
-		return pr.res.F
-	}
-
-	outer, err := GridRefine(g, opts.PMin, opts.PMax, opts.GridP, true, opts.Tol)
-	if err != nil {
-		return PatternResult{}, errors.New("optimize: no feasible pattern in the search box")
-	}
-
-	pStar := outer.X
-	atBound := pStar >= opts.PMax*(1-1e-6)
-	if opts.IntegerP && !atBound {
-		pStar = BetterInteger(g, pStar, opts.PMin, opts.PMax)
-	}
-	inner := probe(pStar)
-	if inner.err != nil {
-		return PatternResult{}, inner.err
-	}
-
-	return PatternResult{
-		Solution: core.Solution{
-			T:        inner.res.X,
-			P:        pStar,
-			Overhead: inner.res.F,
-			Method:   "numerical",
-			Class:    m.Res.Classify().Class,
-		},
-		AtPBound: atBound,
-		Evals:    evals,
-	}, nil
+	return newProber(opts, false).pattern(m, opts.PMin, opts.PMax, opts.GridP)
 }
-
-// Shared error values of the frozen grid refinement (allocated once; the
-// infeasible-grid rejection fires on every deep-tail P probe).
-var (
-	errGridBounds = errors.New("optimize: GridRefine needs hi > lo")
-	errGridPoints = errors.New("optimize: GridRefine needs at least 3 grid points")
-	errGridAllInf = errors.New("optimize: objective is +Inf over the whole grid")
-)
 
 // BetterInteger picks the best integer processor count adjacent to the
 // continuous optimum (exported for the outer P rounding of every joint

@@ -1,7 +1,6 @@
 package optimize
 
 import (
-	"errors"
 	"math"
 
 	"amdahlyd/internal/core"
@@ -19,10 +18,13 @@ type SweepOptions struct {
 	// generous for every per-cell drift in Figs. 4–7, where P* moves by at
 	// most a few × between adjacent sweep coordinates).
 	BracketFactor float64
-	// WarmGridP and WarmGridT are the grid resolutions inside the warm
-	// brackets (defaults 10 and 10). They only need to localize the
-	// minimum for the Brent polish, not survive a cold multi-decade scan.
-	WarmGridP, WarmGridT int
+	// WarmGridP is the outer P-grid resolution inside the warm bracket
+	// (default 10). It only needs to localize the minimum for the Brent
+	// polish, not survive a cold multi-decade scan. The inner period grid
+	// is GridT, as on the cold path: a certified scan costs a handful of
+	// kernel calls whatever its resolution, and the dense grid hands
+	// Brent a narrower bracket.
+	WarmGridP int
 	// Cold disables warm-starting entirely: every cell runs the reference
 	// OptimalPattern grid scan (the -warm=false escape hatch; results are
 	// then bit-identical to per-cell OptimalPattern calls).
@@ -36,9 +38,6 @@ func (o SweepOptions) withDefaults() SweepOptions {
 	}
 	if o.WarmGridP == 0 {
 		o.WarmGridP = 10
-	}
-	if o.WarmGridT == 0 {
-		o.WarmGridT = 10
 	}
 	return o
 }
@@ -75,18 +74,21 @@ type SweepStats struct {
 // A warm cell therefore brackets the outer P search a factor
 // BracketFactor around the previous P*, localizes the minimum on a short
 // log-grid, and polishes with bounded Brent; the inner u = log T
-// minimization runs the same short-grid-plus-Brent scheme around the
-// Theorem 1 seed. A warm solve whose optimum lands on a warm bracket
+// minimization is the cold path's certified GridT scan of the Theorem 1
+// seed bracket, polished with Brent instead of golden section (~17
+// refinement calls per probe instead of ~43 at equal tolerance, after a
+// certified scan of ~3–5). A warm solve whose optimum lands on a warm bracket
 // edge (the axis jumped), whose bracket is infeasible, or whose
 // objective class changed since the previous cell falls back to the full
 // cold box — warm-starting is an accelerator, never a different answer
 // beyond the refinement tolerance (the sweep property tests pin warm
 // against per-cell OptimalPattern within Tol-derived bounds).
 //
-// A solver is stateful (the previous optimum and a reusable per-P probe
-// memo) and must not be shared between goroutines; run one solver per
-// chain. The memo is keyed by P and valid only within one cell — the
-// model changes between cells — so only its allocation is reused.
+// A solver is stateful (the previous optimum and a reusable prober with
+// its per-P probe memo) and must not be shared between goroutines; run
+// one solver per chain. The memo is keyed by P and valid only within one
+// cell — the model changes between cells — so only its allocation is
+// reused.
 type SweepSolver struct {
 	opts SweepOptions
 
@@ -95,7 +97,7 @@ type SweepSolver struct {
 	prevAtBound bool
 	prevClass   costmodel.Class
 
-	memo  map[float64]innerProbe
+	pr    *prober
 	stats SweepStats
 }
 
@@ -104,7 +106,7 @@ func NewSweepSolver(opts SweepOptions) *SweepSolver {
 	opts = opts.withDefaults()
 	return &SweepSolver{
 		opts: opts,
-		memo: make(map[float64]innerProbe, opts.GridP+8),
+		pr:   newProber(opts.PatternOptions, true),
 	}
 }
 
@@ -153,8 +155,9 @@ func (s *SweepSolver) Solve(m core.Model) (PatternResult, error) {
 
 // solveCold runs the full-box solve and records it as the new warm seed.
 // In Cold mode it is the reference OptimalPattern (bit-identical to a
-// per-cell call); otherwise it keeps the fast Brent-polished inner
-// minimizer so even chain restarts stay ~2–3× under the reference cost.
+// per-cell call); otherwise it is the prober's Brent-polished scan on a
+// coarser outer grid (coldScanGridP), which makes ~3× fewer kernel calls
+// than the reference even at chain restarts.
 func (s *SweepSolver) solveCold(m core.Model, class costmodel.Class, fallback bool) (PatternResult, error) {
 	if fallback {
 		s.stats.Fallbacks++
@@ -167,7 +170,7 @@ func (s *SweepSolver) solveCold(m core.Model, class costmodel.Class, fallback bo
 	if s.opts.Cold {
 		res, err = OptimalPattern(m, s.opts.PatternOptions)
 	} else {
-		res, err = s.scan(m, s.opts.PMin, s.opts.PMax, min(coldScanGridP, s.opts.GridP), false)
+		res, err = s.pr.pattern(m, s.opts.PMin, s.opts.PMax, min(coldScanGridP, s.opts.GridP))
 	}
 	if err != nil {
 		return PatternResult{}, err
@@ -192,7 +195,7 @@ func (s *SweepSolver) solveWarm(m core.Model) (res PatternResult, ok bool, err e
 	if !(pHi > pLo) {
 		return PatternResult{}, false, nil
 	}
-	res, err = s.scan(m, pLo, pHi, opts.WarmGridP, true)
+	res, err = s.pr.pattern(m, pLo, pHi, opts.WarmGridP)
 	if err != nil {
 		// An infeasible or unsolvable warm bracket is a fallback trigger,
 		// not a sweep failure: the cold box may still contain an optimum.
@@ -212,70 +215,6 @@ func (s *SweepSolver) solveWarm(m core.Model) (res PatternResult, ok bool, err e
 	return res, true, nil
 }
 
-// scan is the shared outer solve over [pLo, pHi]: a log-grid localization
-// of g(P) = min_T H(T, P) followed by a bounded-Brent polish, with the
-// same per-P probe memoization as OptimalPattern. warm selects the short
-// inner minimizer (grid + Brent around the Theorem 1 seed); the cold
-// restart keeps it too — only Cold mode routes to OptimalPattern.
-func (s *SweepSolver) scan(m core.Model, pLo, pHi float64, gridP int, warm bool) (PatternResult, error) {
-	opts := s.opts
-	evals := 0
-	clear(s.memo)
-	probe := func(p float64) innerProbe {
-		if pr, ok := s.memo[p]; ok {
-			return pr
-		}
-		fz := m.Freeze(p)
-		res, err := minimizeTBrent(&fz, opts.PatternOptions, opts.WarmGridT)
-		evals += res.Evals
-		pr := innerProbe{res: res, err: err}
-		s.memo[p] = pr
-		return pr
-	}
-	g := func(p float64) float64 {
-		pr := probe(p)
-		if pr.err != nil {
-			return math.Inf(1)
-		}
-		return pr.res.F
-	}
-
-	outer, err := GridBrentLog(g, pLo, pHi, gridP, opts.Tol)
-	if err != nil {
-		if warm {
-			return PatternResult{}, err
-		}
-		return PatternResult{}, errors.New("optimize: no feasible pattern in the search box")
-	}
-
-	pStar := outer.X
-	atBound := pStar >= opts.PMax*(1-1e-6)
-	if opts.IntegerP && !atBound {
-		pStar = BetterInteger(g, pStar, opts.PMin, opts.PMax)
-	}
-	inner := probe(pStar)
-	if inner.err != nil {
-		return PatternResult{}, inner.err
-	}
-	return PatternResult{
-		Solution: core.Solution{
-			T:        inner.res.X,
-			P:        pStar,
-			Overhead: inner.res.F,
-			Method:   "numerical",
-			Class:    m.Res.Classify().Class,
-		},
-		AtPBound: atBound,
-		Evals:    evals,
-	}, nil
-}
-
-// innerProbe is the memoized outcome of one inner period minimization.
-type innerProbe struct {
-	res Result
-	err error
-}
-
 // BatchOptimalPattern solves every model of an ordered sweep axis with
 // one warm-start chain, returning one result per model. It is the batch
 // counterpart of per-cell OptimalPattern calls: same answers within the
@@ -292,72 +231,6 @@ func BatchOptimalPattern(models []core.Model, opts SweepOptions) ([]PatternResul
 		out[i] = res
 	}
 	return out, nil
-}
-
-// minimizeTBrent is the warm-path inner period minimizer: the same
-// Theorem 1 seed bracket as minimizeT, localized on a short u = log T
-// grid and polished with bounded Brent instead of the cold path's
-// 48-point grid plus golden refinement (~3× fewer kernel calls at equal
-// tolerance). Any failure — no finite seed, empty bracket, an
-// all-infeasible grid — falls back to the robust cold minimizeT.
-func minimizeTBrent(fz *core.Frozen, opts PatternOptions, gridT int) (Result, error) {
-	seed := fz.OptimalPeriod()
-	if math.IsInf(seed, 0) || !(seed > 0) {
-		return minimizeT(fz, opts)
-	}
-	lo := math.Max(opts.TMin, seed/1e3)
-	hi := math.Min(opts.TMax, seed*1e3)
-	if !(hi > lo) {
-		return minimizeT(fz, opts)
-	}
-	res, err := gridBrentFrozen(fz, math.Log(lo), math.Log(hi), gridT, opts.Tol)
-	if err != nil {
-		return minimizeT(fz, opts)
-	}
-	res.X = math.Exp(res.X)
-	return res, nil
-}
-
-// gridBrentFrozen localizes the frozen overhead kernel's minimum on a
-// short u-grid and polishes the best bracket with bounded Brent. It
-// keeps gridRefineFrozen's monotone infeasible-grid rejection: an
-// overflow at the low edge proves the whole bracket infeasible after a
-// single probe.
-func gridBrentFrozen(fz *core.Frozen, uLo, uHi float64, points int, tol float64) (Result, error) {
-	if !(uHi > uLo) {
-		return Result{}, errGridBounds
-	}
-	if points < 3 {
-		return Result{}, errGridPoints
-	}
-	if fz.OverflowsBeyond(uLo) {
-		return Result{}, errGridAllInf
-	}
-	step := (uHi - uLo) / float64(points-1)
-	gridPoint := func(i int) float64 {
-		if i == points-1 {
-			return uHi
-		}
-		return uLo + float64(i)*step
-	}
-	bestI, bestF := 0, math.Inf(1)
-	for i := 0; i < points; i++ {
-		if v := fz.OverheadLog(gridPoint(i)); v < bestF {
-			bestI, bestF = i, v
-		}
-	}
-	if math.IsInf(bestF, 1) {
-		return Result{}, errGridAllInf
-	}
-	a := gridPoint(max(bestI-1, 0))
-	b := gridPoint(min(bestI+1, points-1))
-	res := BrentMin(fz.OverheadLog, a, b, tol, 0)
-	res.Evals += points
-	// The grid best might still beat the polished point on plateaus.
-	if bestF < res.F {
-		res.X, res.F = gridPoint(bestI), bestF
-	}
-	return res, nil
 }
 
 // GridBrentLog is the outer-loop counterpart on an arbitrary objective:

@@ -20,12 +20,13 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # The frozen-kernel hot paths gated by -compare: the per-call costs every
-# optimizer and simulator loop is built on. Macro benchmarks (figures,
-# campaigns) are recorded but not gated — they move with design changes;
-# these must only ever go down. BenchmarkFleetLoadGen is the one gated
-# end-to-end path: warm per-request latency through the fleet router
-# (its qps/p50/p99 extras are recorded alongside, not gated).
-frozen_benchmarks="BenchmarkExactPatternTime BenchmarkFreeze BenchmarkFrozenOverhead BenchmarkFrozenOverheadLog BenchmarkFirstOrderSolve BenchmarkMultilevelOptimize BenchmarkMultilevelCampaign BenchmarkHeteroOptimize BenchmarkHeteroSweep BenchmarkFleetLoadGen"
+# optimizer and simulator loop is built on, plus the cold nested (T, P)
+# solve and the warm sweep chain built directly on them. Macro benchmarks
+# (figures, campaigns) are recorded but not gated — they move with design
+# changes; these must only ever go down. BenchmarkFleetLoadGen is the one
+# gated end-to-end path: warm per-request latency through the fleet
+# router (its qps/p50/p99 extras are recorded alongside, not gated).
+frozen_benchmarks="BenchmarkExactPatternTime BenchmarkFreeze BenchmarkFrozenOverhead BenchmarkFrozenOverheadLog BenchmarkFirstOrderSolve BenchmarkNumericalOptimum BenchmarkBatchSweepSolve BenchmarkMultilevelOptimize BenchmarkMultilevelCampaign BenchmarkHeteroOptimize BenchmarkHeteroSweep BenchmarkFleetLoadGen"
 regression_pct=15
 
 # parse_min_ns <raw-file>: emit "name ns" lines, min ns/op per benchmark.
