@@ -53,9 +53,10 @@
 // — with raw draws in internal/rng. The law threads through the trace
 // generator (failures.GenerateTraceDist), the machine-level simulator
 // (sim.NewMachineDist, per-processor renewal clocks that pause across
-// downtime), and experiments.RobustnessStudy ("amdahl-exp robustness"),
-// which prices the exponential-optimal pattern under the true law
-// against a re-tuned period. Exponential fast paths stay bit-identical
+// downtime), and experiments.RobustnessStudyContext ("amdahl-exp
+// robustness"), which prices the exponential-optimal pattern under the
+// true law against a re-tuned period at sim.MachineProcs(P*), the one
+// rounding and population-cap rule every machine-level pricing uses. Exponential fast paths stay bit-identical
 // for fixed seeds, pinned by golden tests. See DESIGN.md.
 //
 // # Batch sweeps: SweepSolver, not per-cell solves
@@ -84,10 +85,12 @@
 // (T*, K*, P*) chains along smooth axes exactly like
 // optimize.SweepSolver; Simulator.SimulateContext prices patterns on
 // the shared chunked-dispatch runner (sim.ForEachRun) with per-run
-// streams and fail-fast cancellation. New two-level work goes through
-// multilevel.SweepSolver (or POST /v1/multilevel/*), never per-cell
-// FirstOrder calls in a loop. The study driver is
-// experiments.MultilevelStudy ("amdahl-exp multilevel"); the service
+// streams and fail-fast cancellation, and multilevel.SimulateModel is
+// the one path from a core.Model to a priced two-level pattern. New
+// two-level work goes through multilevel.SweepSolver (or POST
+// /v1/multilevel/*), never per-cell FirstOrder calls in a loop. The
+// study driver is experiments.MultilevelStudyContext ("amdahl-exp
+// multilevel"); the service
 // endpoints are /v1/multilevel/optimize, /v1/multilevel/simulate and
 // the "multilevel" axis switch on /v1/sweep, cached under the
 // versioned ml1| key namespace. See DESIGN.md, "Multilevel
@@ -109,11 +112,13 @@
 // axes by hetero.SweepSolver over per-(group, active-count) chains.
 // Group-shaped platform work goes through platform.Topology +
 // hetero.SweepSolver, not ad-hoc per-group loops. The study driver is
-// experiments.HeterogeneousStudy ("amdahl-exp hetero"); the service
-// endpoints are /v1/hetero/optimize, /v1/hetero/simulate and the
-// "hetero" switch on /v1/sweep; the campaign preset is "hetero" (comm
-// axis). sim.SimulateHetero prices a joint plan on the shared chunked
-// runner, scoring each run by its makespan overhead max_g x_g·H_g. See
+// experiments.HeterogeneousStudyContext ("amdahl-exp hetero"); the
+// service endpoints are /v1/hetero/optimize, /v1/hetero/simulate and
+// the "hetero" switch on /v1/sweep; the campaign preset is "hetero"
+// (comm axis). hetero.SimulatePlan prices a joint plan: hetero.RunPlan
+// lowers it to per-group comm-charged models and sim.SimulateHetero
+// runs them on the shared chunked runner, scoring each run by its
+// makespan overhead max_g x_g·H_g. See
 // DESIGN.md, "Heterogeneous topologies".
 //
 // # Service layer

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -23,7 +24,7 @@ func main() {
 	cfg.Seed = 11
 	lambdas := xmath.Logspace(1e-12, 1e-8, 5)
 
-	res, err := experiments.Fig5(platform.Hera(), lambdas, cfg)
+	res, err := experiments.Fig5Context(context.Background(), platform.Hera(), lambdas, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

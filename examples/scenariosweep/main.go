@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -19,7 +20,7 @@ func main() {
 	cfg := experiments.Quick()
 	cfg.Seed = 7
 
-	res, err := experiments.Fig2(platform.All(), cfg)
+	res, err := experiments.Fig2Context(context.Background(), platform.All(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

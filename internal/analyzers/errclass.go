@@ -23,8 +23,8 @@ func (*StatusClassifierFact) AFact() {}
 
 // errClassHome reports whether a package is an error-classification
 // home: transient-vs-permanent retry semantics live in internal/service
-// (RetryClient) and internal/fleet (hedged dispatch, failover), and
-// nowhere else. The suffix form keeps fixtures and scratch modules
+// (RetryableStatus, RetryAfter) and internal/fleet (hedged dispatch,
+// failover), and nowhere else. The suffix form keeps fixtures and scratch modules
 // honest under their own module paths.
 func errClassHome(path string) bool {
 	return strings.HasSuffix(path, "internal/service") || strings.HasSuffix(path, "internal/fleet")

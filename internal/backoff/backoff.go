@@ -1,9 +1,9 @@
 // Package backoff is the repo's one retry-delay discipline: exponential
 // backoff with deterministic splitmix64 jitter. The campaign executor
-// (internal/campaign) and the service retry client (service.RetryClient,
-// and through it the fleet router) share this exact schedule, so
-// co-failing work decorrelates the same way everywhere without making
-// any run nondeterministic — same seed, same attempt, same delay.
+// (internal/campaign) and the fleet router's retry loop share this
+// exact schedule, so co-failing work decorrelates the same way
+// everywhere without making any run nondeterministic — same seed, same
+// attempt, same delay.
 package backoff
 
 import "time"

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 
 	"amdahlyd/internal/atomicio"
+	"amdahlyd/internal/hetero"
 )
 
 // artifactVersion versions the on-disk cell schema; a resumed campaign
@@ -65,6 +66,17 @@ type HeteroGroupArtifact struct {
 	P        float64 `json:"p"`
 	Overhead float64 `json:"overhead"`
 	AtPBound bool    `json:"at_p_bound,omitempty"`
+}
+
+// plans is the artifact's hetero plan in the optimizer's shape, for
+// warming a chain from a banked cell and for pricing a solved one.
+func (a *Artifact) plans() []hetero.GroupPlan {
+	plans := make([]hetero.GroupPlan, len(a.Groups))
+	for i, g := range a.Groups {
+		plans[i] = hetero.GroupPlan{Group: g.Group, Fraction: g.Fraction,
+			T: g.T, P: g.P, GroupOverhead: g.Overhead, AtPBound: g.AtPBound}
+	}
+	return plans
 }
 
 // floatPtr boxes v for the JSON artifact, mapping NaN to nil.

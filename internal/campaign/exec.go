@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -85,11 +84,6 @@ type Summary struct {
 	// when the campaign did not complete).
 	ReportText, ReportCSV string
 }
-
-// maxMachineProcs mirrors the robustness study's bound on the
-// machine-level event population: exponential-optimal allocations beyond
-// it are reported unsimulable rather than silently mispriced.
-const maxMachineProcs = 1 << 16
 
 type runner struct {
 	man  Manifest
@@ -306,13 +300,8 @@ func (hs heteroSolver) solve(c *Cell) (solveResult, error) {
 }
 
 func (hs heteroSolver) observe(c *Cell, a *Artifact) {
-	plans := make([]hetero.GroupPlan, len(a.Groups))
-	for i, g := range a.Groups {
-		plans[i] = hetero.GroupPlan{Group: g.Group, Fraction: g.Fraction,
-			T: g.T, P: g.P, GroupOverhead: g.Overhead, AtPBound: g.AtPBound}
-	}
 	hs.s.Observe(c.Hetero, hetero.PatternResult{
-		Groups: plans, Active: a.G, Overhead: a.PredictedH,
+		Groups: a.plans(), Active: a.G, Overhead: a.PredictedH,
 	})
 }
 
@@ -492,117 +481,68 @@ func (r *runner) attempt(ctx context.Context, c *Cell, a *Artifact, fault Fault,
 	return r.simulate(actx, c, a)
 }
 
+// errOffMap marks a cell whose pattern is off the simulable map before
+// any simulator runs: a two-level optimum at the processor search bound
+// (the two-level simulator has no error-pressure escape there) or a
+// machine-level allocation past sim.MaxMachineProcs.
+var errOffMap = errors.New("campaign: pattern off the simulable map")
+
 // simulate prices the solved cell on the protocol's simulator with the
 // cell's deterministic seed. Per-run streams are seed-derived, so the
 // result is independent of scheduling; Workers stays 1 because the
-// parallelism budget lives at the chain level.
+// parallelism budget lives at the chain level. A pattern off the
+// simulable map completes the cell as Unsimulable.
 func (r *runner) simulate(ctx context.Context, c *Cell, a *Artifact) error {
-	markUnsimulable := func() {
+	mean, ci, err := priceCell(ctx, c, a, sim.RunConfig{
+		Runs:     r.man.Runs,
+		Patterns: r.man.Patterns,
+		Seed:     c.Seed,
+		Workers:  1,
+	})
+	if errors.Is(err, sim.ErrErrorPressure) || errors.Is(err, errOffMap) {
 		a.Unsimulable = true
 		a.SimH, a.SimCI = nil, nil
+		return nil
 	}
+	if err != nil {
+		return err
+	}
+	a.SimH, a.SimCI = floatPtr(mean), floatPtr(ci)
+	return nil
+}
+
+// priceCell makes the cell's one protocol pricing call and returns the
+// simulated overhead's mean and CI95 half-width.
+func priceCell(ctx context.Context, c *Cell, a *Artifact, cfg sim.RunConfig) (mean, ci float64, err error) {
 	switch {
 	case c.Protocol == ProtocolHetero:
-		groups := make([]sim.HeteroGroupRun, len(a.Groups))
-		for i, g := range a.Groups {
-			m, err := c.Hetero.ActiveModel(g.Group, a.G)
-			if err != nil {
-				return err
-			}
-			groups[i] = sim.HeteroGroupRun{Model: m, T: g.T, P: g.P, Fraction: g.Fraction}
-		}
-		res, err := sim.SimulateHeteroContext(ctx, groups, sim.RunConfig{
-			Runs:     r.man.Runs,
-			Patterns: r.man.Patterns,
-			Seed:     c.Seed,
-			Workers:  1,
-		})
-		if errors.Is(err, sim.ErrErrorPressure) {
-			markUnsimulable()
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		a.SimH, a.SimCI = floatPtr(res.Overhead.Mean), floatPtr(res.Overhead.CI95)
-		return nil
+		res, err := hetero.SimulatePlan(ctx, c.Hetero, a.plans(), cfg)
+		return res.Overhead.Mean, res.Overhead.CI95, err
 
 	case c.Protocol == ProtocolMultilevel:
 		if a.AtPBound {
-			// The two-level simulator has no error-pressure escape at
-			// extreme allocations (mirrors the multilevel study).
-			markUnsimulable()
-			return nil
+			return 0, 0, errOffMap
 		}
-		costs, err := multilevel.SingleLevelCosts(c.Model, a.P, c.Frac)
-		if err != nil {
-			return err
-		}
-		lf, ls := c.Model.Rates(a.P)
-		s, err := multilevel.NewSimulator(costs, multilevel.Pattern{T: a.T, K: a.K}, lf, ls)
-		if err != nil {
-			return err
-		}
-		res, err := s.SimulateContext(ctx, multilevel.CampaignConfig{
-			Runs:     r.man.Runs,
-			Patterns: r.man.Patterns,
-			Seed:     c.Seed,
-			Workers:  1,
-			HOfP:     c.Model.Profile.Overhead(a.P),
-		})
-		if err != nil {
-			return err
-		}
-		a.SimH, a.SimCI = floatPtr(res.Overhead.Mean), floatPtr(res.Overhead.CI95)
-		return nil
+		res, err := multilevel.SimulateModel(ctx, c.Model, c.Frac, multilevel.Pattern{T: a.T, K: a.K}, a.P,
+			multilevel.CampaignConfig{Runs: cfg.Runs, Patterns: cfg.Patterns, Seed: cfg.Seed, Workers: cfg.Workers})
+		return res.Overhead.Mean, res.Overhead.CI95, err
 
 	case c.Dist != nil:
 		// Non-memoryless law: replay the exponential-optimal pattern on
 		// the machine-level simulator at the rounded integral allocation
 		// (the robustness-study pricing protocol).
-		procs := int(math.Round(a.P))
-		if procs < 1 {
-			procs = 1
+		procs, ok := sim.MachineProcs(a.P)
+		if !ok {
+			return 0, 0, errOffMap
 		}
-		if procs > maxMachineProcs {
-			markUnsimulable()
-			return nil
-		}
-		a.SimProcs = procs
-		res, err := sim.SimulateContext(ctx, c.Model, a.T, float64(procs), sim.RunConfig{
-			Runs:     r.man.Runs,
-			Patterns: r.man.Patterns,
-			Seed:     c.Seed,
-			Workers:  1,
-			Machine:  true,
-			Dist:     c.Dist,
-		})
-		if errors.Is(err, sim.ErrErrorPressure) {
-			markUnsimulable()
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		a.SimH, a.SimCI = floatPtr(res.Overhead.Mean), floatPtr(res.Overhead.CI95)
-		return nil
+		a.SimProcs = int(procs)
+		cfg.Machine, cfg.Dist = true, c.Dist
+		res, err := sim.SimulateContext(ctx, c.Model, a.T, procs, cfg)
+		return res.Overhead.Mean, res.Overhead.CI95, err
 
 	default:
-		res, err := sim.SimulateContext(ctx, c.Model, a.T, a.P, sim.RunConfig{
-			Runs:     r.man.Runs,
-			Patterns: r.man.Patterns,
-			Seed:     c.Seed,
-			Workers:  1,
-		})
-		if errors.Is(err, sim.ErrErrorPressure) {
-			markUnsimulable()
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		a.SimH, a.SimCI = floatPtr(res.Overhead.Mean), floatPtr(res.Overhead.CI95)
-		return nil
+		res, err := sim.SimulateContext(ctx, c.Model, a.T, a.P, cfg)
+		return res.Overhead.Mean, res.Overhead.CI95, err
 	}
 }
 

@@ -62,9 +62,6 @@ func TestPricingReportsGolden(t *testing.T) {
 			dir := t.TempDir()
 			mustRun(t, tc.man, testOptions(dir))
 			txt, csv := reportBytes(t, dir)
-			if testing.Verbose() {
-				t.Logf("\n%s\n%s", txt, csv)
-			}
 			h := sha256.New()
 			h.Write(txt)
 			h.Write(csv)

@@ -93,17 +93,6 @@ func (hm HeteroModel) ActiveModel(i, active int) (Model, error) {
 	return m, nil
 }
 
-// FreezeGroup compiles group i's model for a run with the given active
-// group count at allocation p: the per-group kernel every heterogeneous
-// hot loop (optimizer inner solve, Monte-Carlo pricing) runs on.
-func (hm HeteroModel) FreezeGroup(i, active int, p float64) (Frozen, error) {
-	m, err := hm.ActiveModel(i, active)
-	if err != nil {
-		return Frozen{}, err
-	}
-	return m.Freeze(p), nil
-}
-
 // CacheKey returns the canonical identity of the heterogeneous model
 // under the versioned "hg1|" namespace: the comm coefficient plus each
 // group's full single-group model key and size, in group order. The same

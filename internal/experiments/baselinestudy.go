@@ -41,16 +41,13 @@ type BaselineStudyResult struct {
 	Cfg   Config
 }
 
-// BaselineStudy runs the comparison on the given platforms under one
-// scenario at α = cfg.Alpha.
-func BaselineStudy(platforms []platform.Platform, sc costmodel.Scenario, cfg Config) (*BaselineStudyResult, error) {
-	return BaselineStudyContext(context.Background(), platforms, sc, cfg)
-}
-
-// BaselineStudyContext is BaselineStudy with cancellation. The numerical
-// optima are solved as one warm-start chain across the platform list
-// (the scenario — and hence the objective class — is fixed, so adjacent
-// platforms bracket each other; see optimize.SweepSolver).
+// BaselineStudyContext runs the comparison on the given platforms
+// under one scenario at α = cfg.Alpha.
+//
+// The numerical optima are solved as one warm-start chain across the
+// platform list (the scenario — and hence the objective class — is
+// fixed, so adjacent platforms bracket each other; see
+// optimize.SweepSolver).
 func BaselineStudyContext(ctx context.Context, platforms []platform.Platform, sc costmodel.Scenario, cfg Config) (*BaselineStudyResult, error) {
 	cfg = cfg.withDefaults()
 	models := make([]core.Model, len(platforms))

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 )
 
 func TestBaselineStudy(t *testing.T) {
-	res, err := BaselineStudy(platform.All(), costmodel.Scenario1, Quick())
+	res, err := BaselineStudyContext(context.Background(), platform.All(), costmodel.Scenario1, Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestBaselineStudySilentHeavyPlatformSuffersMore(t *testing.T) {
 	// Atlas has the highest silent fraction (s = 0.9375): ignoring
 	// silent errors must cost it more (relative to its optimum) than
 	// Hera (s = 0.7812).
-	res, err := BaselineStudy([]platform.Platform{platform.Hera(), platform.Atlas()},
+	res, err := BaselineStudyContext(context.Background(), []platform.Platform{platform.Hera(), platform.Atlas()},
 		costmodel.Scenario1, Quick())
 	if err != nil {
 		t.Fatal(err)

@@ -169,7 +169,7 @@ func TestParallelForFailFast(t *testing.T) {
 
 // Fig. 2 on Hera (quick budget): the headline claims of the figure.
 func TestFig2Hera(t *testing.T) {
-	res, err := Fig2([]platform.Platform{platform.Hera()}, Quick())
+	res, err := Fig2Context(context.Background(), []platform.Platform{platform.Hera()}, Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestFig2Hera(t *testing.T) {
 }
 
 func TestFig2RenderAndCSV(t *testing.T) {
-	res, err := Fig2([]platform.Platform{platform.Hera()}, Quick())
+	res, err := Fig2Context(context.Background(), []platform.Platform{platform.Hera()}, Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestFig2RenderAndCSV(t *testing.T) {
 // per-P numerical optimum stays within a fraction of a percent.
 func TestFig3Hera(t *testing.T) {
 	procs := []float64{256, 512, 1024}
-	res, err := Fig3(platform.Hera(), procs, Quick())
+	res, err := Fig3Context(context.Background(), platform.Hera(), procs, Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestFig3Hera(t *testing.T) {
 // Fig. 4 (quick): smaller α enrolls more processors and lowers overhead.
 func TestFig4Hera(t *testing.T) {
 	alphas := []float64{0, 1e-3, 1e-1}
-	res, err := Fig4(platform.Hera(), alphas, Quick())
+	res, err := Fig4Context(context.Background(), platform.Hera(), alphas, Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestFig4Hera(t *testing.T) {
 // from the numerical optima by log-log regression.
 func TestFig5AsymptoticOrders(t *testing.T) {
 	lambdas := []float64{1e-12, 1e-11, 1e-10, 1e-9, 1e-8}
-	res, err := Fig5(platform.Hera(), lambdas, Quick())
+	res, err := Fig5Context(context.Background(), platform.Hera(), lambdas, Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func TestFig5AsymptoticOrders(t *testing.T) {
 // Fig. 6 (quick): perfectly parallel orders from the numerical solution.
 func TestFig6PerfectlyParallelOrders(t *testing.T) {
 	lambdas := []float64{1e-12, 1e-11, 1e-10, 1e-9, 1e-8}
-	res, err := Fig6(platform.Hera(), lambdas, Quick())
+	res, err := Fig6Context(context.Background(), platform.Hera(), lambdas, Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +442,7 @@ func TestFig6PerfectlyParallelOrders(t *testing.T) {
 // is constant; overheads stay close.
 func TestFig7DowntimeImpact(t *testing.T) {
 	ds := []float64{0, 3600, 10800}
-	res, err := Fig7(platform.Hera(), ds, Quick())
+	res, err := Fig7Context(context.Background(), platform.Hera(), ds, Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +490,7 @@ func TestFig7DowntimeImpact(t *testing.T) {
 }
 
 func TestSweepRenderAndCSV(t *testing.T) {
-	res, err := Fig7(platform.Hera(), []float64{0, 3600}, Quick())
+	res, err := Fig7Context(context.Background(), platform.Hera(), []float64{0, 3600}, Quick())
 	if err != nil {
 		t.Fatal(err)
 	}

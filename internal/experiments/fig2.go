@@ -29,14 +29,9 @@ type Fig2Result struct {
 	Cfg   Config
 }
 
-// Fig2 reproduces Fig. 2 on the given platforms (the paper uses all four
-// of Table II).
-func Fig2(platforms []platform.Platform, cfg Config) (*Fig2Result, error) {
-	return Fig2Context(context.Background(), platforms, cfg)
-}
-
-// Fig2Context is Fig2 with cancellation: a done ctx aborts in-flight
-// Monte-Carlo campaigns and skips undispatched cells.
+// Fig2Context reproduces Fig. 2 on the given platforms (the paper uses
+// all four of Table II). A done ctx aborts in-flight Monte-Carlo
+// campaigns and skips undispatched cells.
 //
 // The numerical optima are solved as one warm-start chain per scenario
 // across the platform list (optimize.SweepSolver): for a fixed scenario

@@ -50,15 +50,10 @@ func DefaultFig3Procs() []float64 {
 	return ps
 }
 
-// Fig3 reproduces Fig. 3: the optimal checkpointing period T*_P (from
-// Theorem 1), the simulated execution overhead, and the overhead gap to
-// the per-P numerical optimum, for each of the six scenarios across a
-// range of processor counts.
-func Fig3(pl platform.Platform, procs []float64, cfg Config) (*Fig3Result, error) {
-	return Fig3Context(context.Background(), pl, procs, cfg)
-}
-
-// Fig3Context is Fig3 with cancellation.
+// Fig3Context reproduces Fig. 3: the optimal checkpointing period T*_P
+// (from Theorem 1), the simulated execution overhead, and the overhead
+// gap to the per-P numerical optimum, for each of the six scenarios
+// across a range of processor counts. A done ctx aborts the run.
 func Fig3Context(ctx context.Context, pl platform.Platform, procs []float64, cfg Config) (*Fig3Result, error) {
 	cfg = cfg.withDefaults()
 	if len(procs) == 0 {

@@ -16,13 +16,9 @@ func DefaultFig4Alphas() []float64 {
 	return []float64{0, 1e-4, 1e-3, 1e-2, 1e-1}
 }
 
-// Fig4 reproduces Fig. 4: the impact of the sequential fraction α on
-// P*, T* and the simulated overhead for scenarios 1, 3 and 5.
-func Fig4(pl platform.Platform, alphas []float64, cfg Config) (*SweepResult, error) {
-	return Fig4Context(context.Background(), pl, alphas, cfg)
-}
-
-// Fig4Context is Fig4 with cancellation.
+// Fig4Context reproduces Fig. 4: the impact of the sequential fraction
+// α on P*, T* and the simulated overhead for scenarios 1, 3 and 5. A
+// done ctx aborts the run.
 func Fig4Context(ctx context.Context, pl platform.Platform, alphas []float64, cfg Config) (*SweepResult, error) {
 	if len(alphas) == 0 {
 		alphas = DefaultFig4Alphas()
@@ -39,15 +35,11 @@ func DefaultLambdas() []float64 {
 	return xmath.Logspace(1e-12, 1e-8, 9)
 }
 
-// Fig5 reproduces Fig. 5: the impact of the individual error rate λ_ind
-// at α = cfg.Alpha (0.1 in the paper). The asymptotic orders of Theorems
-// 2 and 3 — P* = Θ(λ^-1/4) / Θ(λ^-1/3), T* = Θ(λ^-1/2) / Θ(λ^-1/3) —
-// are recovered from the result by SweepResult.Slopes.
-func Fig5(pl platform.Platform, lambdas []float64, cfg Config) (*SweepResult, error) {
-	return Fig5Context(context.Background(), pl, lambdas, cfg)
-}
-
-// Fig5Context is Fig5 with cancellation.
+// Fig5Context reproduces Fig. 5: the impact of the individual error
+// rate λ_ind at α = cfg.Alpha (0.1 in the paper). The asymptotic
+// orders of Theorems 2 and 3 — P* = Θ(λ^-1/4) / Θ(λ^-1/3), T* =
+// Θ(λ^-1/2) / Θ(λ^-1/3) — are recovered from the result by
+// SweepResult.Slopes. A done ctx aborts the run.
 func Fig5Context(ctx context.Context, pl platform.Platform, lambdas []float64, cfg Config) (*SweepResult, error) {
 	if len(lambdas) == 0 {
 		lambdas = DefaultLambdas()
@@ -59,15 +51,10 @@ func Fig5Context(ctx context.Context, pl platform.Platform, lambdas []float64, c
 	return runSweep(ctx, "Fig. 5", "lambda_ind", lambdas, build, cfg)
 }
 
-// Fig6 reproduces Fig. 6: the same λ_ind sweep with a perfectly parallel
-// application (α = 0), where no first-order solution exists and the paper
-// reports numerical orders P* ≈ λ^-1/2 (scenario 1) and ≈ λ^-1
-// (scenarios 3 and 5).
-func Fig6(pl platform.Platform, lambdas []float64, cfg Config) (*SweepResult, error) {
-	return Fig6Context(context.Background(), pl, lambdas, cfg)
-}
-
-// Fig6Context is Fig6 with cancellation.
+// Fig6Context reproduces Fig. 6: the same λ_ind sweep with a perfectly
+// parallel application (α = 0), where no first-order solution exists
+// and the paper reports numerical orders P* ≈ λ^-1/2 (scenario 1) and
+// ≈ λ^-1 (scenarios 3 and 5). A done ctx aborts the run.
 func Fig6Context(ctx context.Context, pl platform.Platform, lambdas []float64, cfg Config) (*SweepResult, error) {
 	if len(lambdas) == 0 {
 		lambdas = DefaultLambdas()
@@ -84,14 +71,10 @@ func DefaultFig7Downtimes() []float64 {
 	return []float64{0, 1800, 3600, 5400, 7200, 9000, 10800}
 }
 
-// Fig7 reproduces Fig. 7: the impact of the downtime D at α = cfg.Alpha.
-// The first-order pattern is D-independent (D is a lower-order term);
-// the numerical P* decreases as D grows.
-func Fig7(pl platform.Platform, downtimes []float64, cfg Config) (*SweepResult, error) {
-	return Fig7Context(context.Background(), pl, downtimes, cfg)
-}
-
-// Fig7Context is Fig7 with cancellation.
+// Fig7Context reproduces Fig. 7: the impact of the downtime D at α =
+// cfg.Alpha. The first-order pattern is D-independent (D is a
+// lower-order term); the numerical P* decreases as D grows. A done ctx
+// aborts the run.
 func Fig7Context(ctx context.Context, pl platform.Platform, downtimes []float64, cfg Config) (*SweepResult, error) {
 	if len(downtimes) == 0 {
 		downtimes = DefaultFig7Downtimes()

@@ -88,23 +88,20 @@ func HeteroStudyTopology(pl platform.Platform, comm, split float64) platform.Top
 	}
 }
 
-// HeterogeneousStudy runs the topology-aware heterogeneous platform
-// study: for each scenario, inter-group comm term and accelerator split,
-// the joint optimum — which groups work, how the load divides, what
-// pattern each group runs — priced by Monte-Carlo and compared with the
-// CPU-only single-group optimum. nil comms and splits select the default
-// axes; scenarios defaults to 1, 3 and 5 as in the sweep figures.
-func HeterogeneousStudy(pl platform.Platform, comms, splits []float64,
-	scenarios []costmodel.Scenario, cfg Config) (*HeteroResult, error) {
-	return HeterogeneousStudyContext(context.Background(), pl, comms, splits, scenarios, cfg)
-}
-
-// HeterogeneousStudyContext is HeterogeneousStudy with cancellation. It
-// runs the two-phase sweep shape: phase 1 solves the joint optima as one
-// hetero.SweepSolver chain per (scenario, split) along the comm axis
-// (cfg.ColdSolve restores per-cell full-box scans) plus one CPU-only
-// baseline solve per scenario, phase 2 prices every cell by Monte-Carlo
-// in parallel with per-cell seeds derived from the streaming label hash.
+// HeterogeneousStudyContext runs the topology-aware heterogeneous
+// platform study: for each scenario, inter-group comm term and
+// accelerator split, the joint optimum — which groups work, how the
+// load divides, what pattern each group runs — priced by Monte-Carlo
+// and compared with the CPU-only single-group optimum. nil comms and
+// splits select the default axes; scenarios defaults to 1, 3 and 5 as
+// in the sweep figures.
+//
+// It runs the two-phase sweep shape: phase 1 solves the joint optima
+// as one hetero.SweepSolver chain per (scenario, split) along the comm
+// axis (cfg.ColdSolve restores per-cell full-box scans) plus one
+// CPU-only baseline solve per scenario, phase 2 prices every cell by
+// Monte-Carlo in parallel with per-cell seeds derived from the
+// streaming label hash.
 func HeterogeneousStudyContext(ctx context.Context, pl platform.Platform, comms, splits []float64,
 	scenarios []costmodel.Scenario, cfg Config) (*HeteroResult, error) {
 	cfg = cfg.withDefaults()
@@ -225,13 +222,9 @@ func HeterogeneousStudyContext(ctx context.Context, pl platform.Platform, comms,
 			return nil
 		}
 		cell := &cells[i]
-		groups, err := heteroRunPlan(models[i], plans[i])
-		if err != nil {
-			return err
-		}
 		seed := newSeedHash().str("hetero/").str(pl.Name).str("/").str(cell.Scenario.String()).
 			str("/split=").float(cell.Split).str("/comm=").float(cell.Comm).seed(cfg.Seed)
-		res, err := sim.SimulateHeteroContext(ctx, groups, sim.RunConfig{
+		res, err := hetero.SimulatePlan(ctx, models[i], plans[i].Groups, sim.RunConfig{
 			Runs:     cfg.Runs,
 			Patterns: cfg.Patterns,
 			Seed:     seed,
@@ -303,20 +296,6 @@ func canonicalizePlan(hm core.HeteroModel, res hetero.PatternResult) (hetero.Pat
 		res.Groups[i].Fraction = res.Overhead / res.Groups[i].GroupOverhead
 	}
 	return res, nil
-}
-
-// heteroRunPlan lowers an optimizer plan to the sim layer: one
-// comm-charged model + pattern + fraction per active group.
-func heteroRunPlan(hm core.HeteroModel, res hetero.PatternResult) ([]sim.HeteroGroupRun, error) {
-	groups := make([]sim.HeteroGroupRun, len(res.Groups))
-	for i, gp := range res.Groups {
-		m, err := hm.ActiveModel(gp.Group, res.Active)
-		if err != nil {
-			return nil, err
-		}
-		groups[i] = sim.HeteroGroupRun{Model: m, T: gp.T, P: gp.P, Fraction: gp.Fraction}
-	}
-	return groups, nil
 }
 
 // Render writes the study as one table: the joint heterogeneous optimum

@@ -60,25 +60,20 @@ type MultilevelResult struct {
 // sanity cell).
 var DefaultMultilevelFractions = []float64{1.0 / 60, 1.0 / 15, 0.2, 0.5, 1}
 
-// MultilevelStudy runs the two-level extension study: for each scenario
-// and in-memory cost fraction, the joint (T, K, P) optimum — the paper's
-// central how-many-processors question asked of the two-level protocol —
-// priced by Monte-Carlo and compared with the single-level numerical
-// optimum. nil fracs and scenarios select the defaults (the
-// DefaultMultilevelFractions axis; scenarios 1, 3, 5 as in the sweep
-// figures).
-func MultilevelStudy(pl platform.Platform, fracs []float64,
-	scenarios []costmodel.Scenario, cfg Config) (*MultilevelResult, error) {
-	return MultilevelStudyContext(context.Background(), pl, fracs, scenarios, cfg)
-}
-
-// MultilevelStudyContext is MultilevelStudy with cancellation. It runs
-// the two-phase sweep shape: phase 1 solves the joint optima as one
-// warm-start chain per scenario along the fraction axis
+// MultilevelStudyContext runs the two-level extension study: for each
+// scenario and in-memory cost fraction, the joint (T, K, P) optimum —
+// the paper's central how-many-processors question asked of the
+// two-level protocol — priced by Monte-Carlo and compared with the
+// single-level numerical optimum. nil fracs and scenarios select the
+// defaults (the DefaultMultilevelFractions axis; scenarios 1, 3, 5 as
+// in the sweep figures).
+//
+// It runs the two-phase sweep shape: phase 1 solves the joint optima
+// as one warm-start chain per scenario along the fraction axis
 // (multilevel.SweepSolver; cfg.ColdSolve restores per-cell full-box
 // scans) plus one single-level chain across scenarios, phase 2 prices
-// every cell by Monte-Carlo in parallel with per-cell seeds derived from
-// the streaming label hash.
+// every cell by Monte-Carlo in parallel with per-cell seeds derived
+// from the streaming label hash.
 func MultilevelStudyContext(ctx context.Context, pl platform.Platform, fracs []float64,
 	scenarios []costmodel.Scenario, cfg Config) (*MultilevelResult, error) {
 	cfg = cfg.withDefaults()
@@ -173,26 +168,15 @@ func MultilevelStudyContext(ctx context.Context, pl platform.Platform, fracs []f
 			cell.SimulatedH, cell.SimCI = math.NaN(), math.NaN()
 			return nil
 		}
-		si := i / len(fracs)
-		m := scModels[si]
-		costs, err := multilevel.SingleLevelCosts(m, cell.P, cell.Frac)
-		if err != nil {
-			return err
-		}
-		lf, ls := m.Rates(cell.P)
-		s, err := multilevel.NewSimulator(costs, multilevel.Pattern{T: cell.T, K: cell.K}, lf, ls)
-		if err != nil {
-			return err
-		}
 		seed := newSeedHash().str("multilevel/").str(pl.Name).str("/").str(cell.Scenario.String()).
 			str("/frac=").float(cell.Frac).seed(cfg.Seed)
-		res, err := s.SimulateContext(ctx, multilevel.CampaignConfig{
-			Runs:     cfg.Runs,
-			Patterns: cfg.Patterns,
-			Seed:     seed,
-			Workers:  1, // parallelism lives at the cell level
-			HOfP:     m.Profile.Overhead(cell.P),
-		})
+		res, err := multilevel.SimulateModel(ctx, scModels[i/len(fracs)], cell.Frac,
+			multilevel.Pattern{T: cell.T, K: cell.K}, cell.P, multilevel.CampaignConfig{
+				Runs:     cfg.Runs,
+				Patterns: cfg.Patterns,
+				Seed:     seed,
+				Workers:  1, // parallelism lives at the cell level
+			})
 		if err != nil {
 			return fmt.Errorf("experiments: simulating multilevel/%s/%v/frac=%g: %w",
 				pl.Name, cell.Scenario, cell.Frac, err)

@@ -38,9 +38,6 @@ func renderDigest(t *testing.T, r renderer) string {
 	if err := r.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if testing.Verbose() {
-		t.Logf("\n%s", buf.Bytes())
-	}
 	sum := sha256.Sum256(buf.Bytes())
 	return hex.EncodeToString(sum[:])
 }

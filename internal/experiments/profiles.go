@@ -56,14 +56,10 @@ func DefaultProfiles(alpha float64) ([]speedup.Profile, error) {
 	return []speedup.Profile{am, gu, pw9, pw7}, nil
 }
 
-// ProfileStudy runs the extension experiment: for each profile and each
-// of scenarios 1, 3 and 5, compute the semi-analytic and fully numerical
-// optima and price both by Monte-Carlo simulation.
-func ProfileStudy(pl platform.Platform, sc costmodel.Scenario, profiles []speedup.Profile, cfg Config) (*ProfileStudyResult, error) {
-	return ProfileStudyContext(context.Background(), pl, sc, profiles, cfg)
-}
-
-// ProfileStudyContext is ProfileStudy with cancellation.
+// ProfileStudyContext runs the extension experiment: for each profile
+// and each of scenarios 1, 3 and 5, compute the semi-analytic and
+// fully numerical optima and price both by Monte-Carlo simulation. A
+// done ctx aborts the run.
 func ProfileStudyContext(ctx context.Context, pl platform.Platform, sc costmodel.Scenario, profiles []speedup.Profile, cfg Config) (*ProfileStudyResult, error) {
 	cfg = cfg.withDefaults()
 	if len(profiles) == 0 {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -18,7 +19,7 @@ func TestProfileStudy(t *testing.T) {
 		speedup.Gustafson{Alpha: 0.1},
 		speedup.PowerLaw{Gamma: 0.8},
 	}
-	res, err := ProfileStudy(platform.Hera(), costmodel.Scenario1, profiles, Quick())
+	res, err := ProfileStudyContext(context.Background(), platform.Hera(), costmodel.Scenario1, profiles, Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestProfileStudy(t *testing.T) {
 }
 
 func TestProfileStudyDefaults(t *testing.T) {
-	res, err := ProfileStudy(platform.Hera(), costmodel.Scenario3, nil, Quick())
+	res, err := ProfileStudyContext(context.Background(), platform.Hera(), costmodel.Scenario3, nil, Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func (invalidProfile) Overhead(p float64) float64 { return -1 }
 func (invalidProfile) Name() string               { return "invalid" }
 
 func TestProfileStudyRejectsBrokenProfile(t *testing.T) {
-	_, err := ProfileStudy(platform.Hera(), costmodel.Scenario1,
+	_, err := ProfileStudyContext(context.Background(), platform.Hera(), costmodel.Scenario1,
 		[]speedup.Profile{invalidProfile{}}, Quick())
 	if err == nil {
 		t.Error("broken profile accepted")

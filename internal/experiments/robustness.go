@@ -82,26 +82,15 @@ type RobustnessResult struct {
 // anything understated).
 var retuneMultipliers = []float64{0.25, 0.3536, 0.5, 0.7071, 1, 1.4142, 2, 2.8284, 4}
 
-// maxMachineProcs bounds the per-processor event population the
-// machine-level simulator is asked to carry; optima beyond it (unbounded
-// allocation regimes) are reported unsimulable rather than silently
-// mispriced.
-const maxMachineProcs = 1 << 16
-
-// RobustnessStudy stresses the exponential-optimal patterns of the given
-// scenarios (nil = all six Table III scenarios) against a non-memoryless
-// failure law: for each scenario it computes the paper's numerical
-// optimum (T*, P*), replays it under the true distribution — distName
-// with each shape in shapes, calibrated to the platform MTBF — and
-// re-tunes the period by simulated search over retuneMultipliers. The
-// reported gap is the price of tuning with the wrong (memoryless) model,
-// exactly the classic robustness question asked of Young/Daly formulas.
-func RobustnessStudy(pl platform.Platform, distName string, shapes []float64,
-	scenarios []costmodel.Scenario, cfg Config) (*RobustnessResult, error) {
-	return RobustnessStudyContext(context.Background(), pl, distName, shapes, scenarios, cfg)
-}
-
-// RobustnessStudyContext is RobustnessStudy with cancellation.
+// RobustnessStudyContext stresses the exponential-optimal patterns of
+// the given scenarios (nil = all six Table III scenarios) against a
+// non-memoryless failure law: for each scenario it computes the
+// paper's numerical optimum (T*, P*), replays it under the true
+// distribution — distName with each shape in shapes, calibrated to the
+// platform MTBF — and re-tunes the period by simulated search over
+// retuneMultipliers. The reported gap is the price of tuning with the
+// wrong (memoryless) model, exactly the classic robustness question
+// asked of Young/Daly formulas. A done ctx aborts the run.
 func RobustnessStudyContext(ctx context.Context, pl platform.Platform, distName string, shapes []float64,
 	scenarios []costmodel.Scenario, cfg Config) (*RobustnessResult, error) {
 	cfg = cfg.withDefaults()
@@ -144,19 +133,16 @@ func RobustnessStudyContext(ctx context.Context, pl platform.Platform, distName 
 			return err
 		}
 		num := scNums[i/len(shapes)]
-		procs := int(math.Round(num.P))
-		if procs < 1 {
-			procs = 1
-		}
+		procs, simulable := sim.MachineProcs(num.P)
 		cell := RobustnessCell{
 			Scenario:   sc,
 			Shape:      shape,
 			Dist:       dist.Name(),
 			T:          num.T,
-			P:          float64(procs),
-			PredictedH: m.Overhead(num.T, float64(procs)),
+			P:          procs,
+			PredictedH: m.Overhead(num.T, procs),
 		}
-		if procs > maxMachineProcs {
+		if !simulable {
 			cell.markUnsimulable()
 			cells[i] = cell
 			return nil
@@ -176,7 +162,7 @@ func RobustnessStudyContext(ctx context.Context, pl platform.Platform, distName 
 			cellWorkers = 1
 		}
 		price := func(t float64, s uint64) (mean, ci float64, pressure bool, err error) {
-			res, err := sim.SimulateContext(ctx, m, t, float64(procs), sim.RunConfig{
+			res, err := sim.SimulateContext(ctx, m, t, procs, sim.RunConfig{
 				Runs:     cfg.Runs,
 				Patterns: cfg.Patterns,
 				Seed:     s,

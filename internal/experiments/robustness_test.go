@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -13,7 +14,7 @@ import (
 func TestRobustnessStudyWeibull(t *testing.T) {
 	cfg := Quick()
 	cfg.Seed = 1
-	res, err := RobustnessStudy(platform.Hera(), "weibull", []float64{0.7, 1},
+	res, err := RobustnessStudyContext(context.Background(), platform.Hera(), "weibull", []float64{0.7, 1},
 		[]costmodel.Scenario{costmodel.Scenario1}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -56,11 +57,11 @@ func TestRobustnessStudyDeterministic(t *testing.T) {
 	cfg := Quick()
 	cfg.Seed = 3
 	sc := []costmodel.Scenario{costmodel.Scenario3}
-	a, err := RobustnessStudy(platform.Hera(), "weibull", []float64{0.6}, sc, cfg)
+	a, err := RobustnessStudyContext(context.Background(), platform.Hera(), "weibull", []float64{0.6}, sc, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RobustnessStudy(platform.Hera(), "weibull", []float64{0.6}, sc, cfg)
+	b, err := RobustnessStudyContext(context.Background(), platform.Hera(), "weibull", []float64{0.6}, sc, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,13 +72,13 @@ func TestRobustnessStudyDeterministic(t *testing.T) {
 
 func TestRobustnessStudyValidation(t *testing.T) {
 	cfg := Quick()
-	if _, err := RobustnessStudy(platform.Hera(), "weibull", nil, nil, cfg); err == nil {
+	if _, err := RobustnessStudyContext(context.Background(), platform.Hera(), "weibull", nil, nil, cfg); err == nil {
 		t.Error("empty shape list accepted")
 	}
-	if _, err := RobustnessStudy(platform.Hera(), "cauchy", []float64{0.7}, nil, cfg); err == nil {
+	if _, err := RobustnessStudyContext(context.Background(), platform.Hera(), "cauchy", []float64{0.7}, nil, cfg); err == nil {
 		t.Error("unknown distribution accepted")
 	}
-	if _, err := RobustnessStudy(platform.Hera(), "weibull", []float64{-1}, nil, cfg); err == nil {
+	if _, err := RobustnessStudyContext(context.Background(), platform.Hera(), "weibull", []float64{-1}, nil, cfg); err == nil {
 		t.Error("negative shape accepted")
 	}
 }
@@ -85,7 +86,7 @@ func TestRobustnessStudyValidation(t *testing.T) {
 func TestRobustnessRenderAndCSV(t *testing.T) {
 	cfg := Quick()
 	cfg.Seed = 5
-	res, err := RobustnessStudy(platform.Hera(), "gamma", []float64{0.5},
+	res, err := RobustnessStudyContext(context.Background(), platform.Hera(), "gamma", []float64{0.5},
 		[]costmodel.Scenario{costmodel.Scenario1}, cfg)
 	if err != nil {
 		t.Fatal(err)

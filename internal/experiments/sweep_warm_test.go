@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -40,7 +41,7 @@ func TestSweepWarmColdRenderByteIdentical(t *testing.T) {
 	run := func(cold bool) (string, *SweepResult) {
 		c := cfg
 		c.ColdSolve = cold
-		res, err := Fig4(platform.Hera(), nil, c)
+		res, err := Fig4Context(context.Background(), platform.Hera(), nil, c)
 		if err != nil {
 			t.Fatal(err)
 		}

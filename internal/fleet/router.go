@@ -180,9 +180,6 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 // Ring exposes the membership ring (the health checker drives it).
 func (rt *Router) Ring() *Ring { return rt.ring }
 
-// PeerURL returns a peer's base URL ("" for unknown peers).
-func (rt *Router) PeerURL(peer string) string { return rt.opts.Peers[peer] }
-
 // ServeHTTP implements http.Handler.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rt.mux.ServeHTTP(w, r)

@@ -7,6 +7,7 @@ import (
 	"math"
 	"runtime"
 
+	"amdahlyd/internal/core"
 	"amdahlyd/internal/rng"
 	"amdahlyd/internal/sim"
 	"amdahlyd/internal/stats"
@@ -115,4 +116,24 @@ func (s *Simulator) SimulateContext(ctx context.Context, cfg CampaignConfig) (Ca
 	}
 	res.Overhead = acc.Summarize()
 	return res, nil
+}
+
+// SimulateModel prices PATTERN(T, K) at P processors of a core model by
+// Monte-Carlo: the two-level costs at P with the in-memory level at
+// frac·C_P (SingleLevelCosts), the model's error rates at P, and the
+// per-run overheads scaled by the model's H(P), which replaces
+// cfg.HOfP. It is the one two-level pricing path; the service, the
+// campaign executor and the multilevel study all call it.
+func SimulateModel(ctx context.Context, m core.Model, frac float64, pat Pattern, p float64, cfg CampaignConfig) (CampaignResult, error) {
+	costs, err := SingleLevelCosts(m, p, frac)
+	if err != nil {
+		return CampaignResult{}, err
+	}
+	lf, ls := m.Rates(p)
+	s, err := NewSimulator(costs, pat, lf, ls)
+	if err != nil {
+		return CampaignResult{}, err
+	}
+	cfg.HOfP = m.Profile.Overhead(p)
+	return s.SimulateContext(ctx, cfg)
 }

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"amdahlyd/internal/costmodel"
 )
 
 func testSimulator(t testing.TB) *Simulator {
@@ -129,5 +131,45 @@ func TestCampaignValidation(t *testing.T) {
 		if _, err := s.Simulate(4, 4, 1, h); err == nil {
 			t.Errorf("Simulate with H(P) = %g accepted", h)
 		}
+	}
+}
+
+// TestSimulateModelMatchesDerivation pins SimulateModel to the explicit
+// derivation it replaces (costs at P, rates at P, H(P) from the model),
+// bit for bit, and checks that a caller's HOfP never leaks through.
+func TestSimulateModelMatchesDerivation(t *testing.T) {
+	m := jointModel(t, costmodel.Scenario3, 0.1, 1.69e-8)
+	const p, frac = 256, 1.0 / 15
+	pat := Pattern{T: 5000, K: 3}
+	costs, err := SingleLevelCosts(m, p, frac)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lf, ls := m.Rates(p)
+	s, err := NewSimulator(costs, pat, lf, ls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := CampaignConfig{Runs: 20, Patterns: 15, Seed: 5, Workers: 2}
+	want, err := s.SimulateContext(context.Background(), CampaignConfig{
+		Runs: cfg.Runs, Patterns: cfg.Patterns, Seed: cfg.Seed, Workers: cfg.Workers,
+		HOfP: m.Profile.Overhead(p),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.HOfP = 123 // replaced by the model's H(P)
+	got, err := SimulateModel(context.Background(), m, frac, pat, p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("SimulateModel diverges from the explicit derivation:\n got %+v\nwant %+v", got, want)
+	}
+	if _, err := SimulateModel(context.Background(), m, -1, pat, p, cfg); err == nil {
+		t.Error("out-of-range in-memory fraction accepted")
+	}
+	if _, err := SimulateModel(context.Background(), m, frac, Pattern{T: 5000}, p, cfg); err == nil {
+		t.Error("K = 0 pattern accepted")
 	}
 }

@@ -99,26 +99,10 @@ func validatePlan(hm core.HeteroModel, plan []hetero.GroupPlan) error {
 	return nil
 }
 
-// heteroRuns lowers a plan to the sim layer: each entry's comm-charged
-// model at the plan's active count — exactly the derivation the
-// experiments layer uses, so service campaigns are bit-identical to
-// library ones.
-func heteroRuns(hm core.HeteroModel, plan []hetero.GroupPlan) ([]sim.HeteroGroupRun, error) {
-	runs := make([]sim.HeteroGroupRun, len(plan))
-	for i, gp := range plan {
-		m, err := hm.ActiveModel(gp.Group, len(plan))
-		if err != nil {
-			return nil, err
-		}
-		runs[i] = sim.HeteroGroupRun{Model: m, T: gp.T, P: gp.P, Fraction: gp.Fraction}
-	}
-	return runs, nil
-}
-
 // HeteroSimulate runs (or replays from cache) a seeded heterogeneous
 // Monte-Carlo campaign for the given per-group plan. Results are
-// bit-identical to sim.SimulateHetero on the same plan; concurrent
-// identical campaigns run once.
+// bit-identical to hetero.SimulatePlan; concurrent identical campaigns
+// run once.
 func (e *Engine) HeteroSimulate(ctx context.Context, hm core.HeteroModel, plan []hetero.GroupPlan, runs, patterns int, seed uint64) (res sim.HeteroRunResult, cached bool, err error) {
 	e.hgSimCalls.Add(1)
 	hmk, err := hm.CacheKey()
@@ -140,11 +124,7 @@ type hgSimulateJob struct {
 }
 
 func (j hgSimulateJob) solve(ctx context.Context) (sim.HeteroRunResult, error) {
-	groups, err := heteroRuns(j.hm, j.plan)
-	if err != nil {
-		return sim.HeteroRunResult{}, err
-	}
-	return sim.SimulateHeteroContext(ctx, groups, j.cfg)
+	return hetero.SimulatePlan(ctx, j.hm, j.plan, j.cfg)
 }
 
 // HeteroSweepCell is one solved cell of a heterogeneous sweep.
@@ -427,7 +407,7 @@ func (s *Server) handleHeteroSimulate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, statusFor(r.Context(), err), err)
 		return
 	}
-	runs, err := heteroRuns(hm, plan)
+	runs, err := hetero.RunPlan(hm, plan)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return

@@ -29,12 +29,11 @@ const maxRequestBody = 1 << 20
 // budget, but over HTTP a single patient client could otherwise pin a
 // scheduler slot for hours ({"runs":2e9,"patterns":2e9}) or OOM the
 // machine simulator with a billion per-processor clocks. The pattern
-// budget allows 4000× the paper's standard 500×500 campaign; the machine
-// cap matches the robustness study's own maxMachineProcs.
+// budget allows 4000× the paper's standard 500×500 campaign; machine-level
+// requests are held to sim.MaxMachineProcs.
 const (
-	maxRequestPatternBudget = 1e9     // runs × patterns per request
-	maxRequestMachineProcs  = 1 << 16 // machine-level P per request
-	maxRequestSweepCells    = 4096    // axis values per sweep request
+	maxRequestPatternBudget = 1e9  // runs × patterns per request
+	maxRequestSweepCells    = 4096 // axis values per sweep request
 )
 
 // ModelSpec selects a model the same way the CLI tools do: a Table II
@@ -358,9 +357,6 @@ func (s *Server) StartDrain(grace time.Duration) {
 	time.AfterFunc(grace, s.drainCancel)
 }
 
-// Draining reports whether StartDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Engine returns the underlying engine (for stats and tests).
 func (s *Server) Engine() *Engine { return s.engine }
 
@@ -525,9 +521,9 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			eff.Runs, eff.Patterns, float64(maxRequestPatternBudget)))
 		return
 	}
-	if req.Machine && p > maxRequestMachineProcs {
+	if req.Machine && p > sim.MaxMachineProcs {
 		writeErr(w, http.StatusUnprocessableEntity, fmt.Errorf(
-			"machine-level P = %g exceeds the per-request limit of %d processors", p, maxRequestMachineProcs))
+			"machine-level P = %g exceeds the per-request limit of %d processors", p, sim.MaxMachineProcs))
 		return
 	}
 	if failures.IsExponentialName(req.Dist) {

@@ -86,9 +86,9 @@ func mlSimKey(mk string, frac float64, pat multilevel.Pattern, p float64, cfg mu
 
 // MultilevelSimulate runs (or replays from cache) a seeded two-level
 // Monte-Carlo campaign for PATTERN(T, K) at P processors, with costs
-// derived from the model (multilevel.SingleLevelCosts at frac). Results
-// are bit-identical to the library path (Simulator.SimulateContext);
-// concurrent identical campaigns run once.
+// derived from the model at frac. Results are bit-identical to the
+// library path (multilevel.SimulateModel); concurrent identical
+// campaigns run once.
 func (e *Engine) MultilevelSimulate(ctx context.Context, m core.Model, frac float64, pat multilevel.Pattern, p float64, runs, patterns int, seed uint64) (res multilevel.CampaignResult, cached bool, err error) {
 	e.mlSimCalls.Add(1)
 	if err := validateFraction(frac); err != nil {
@@ -101,10 +101,7 @@ func (e *Engine) MultilevelSimulate(ctx context.Context, m core.Model, frac floa
 	if err != nil {
 		return res, false, err
 	}
-	cfg := multilevel.CampaignConfig{
-		Runs: runs, Patterns: patterns, Seed: seed,
-		HOfP: m.Profile.Overhead(p),
-	}.WithDefaults()
+	cfg := multilevel.CampaignConfig{Runs: runs, Patterns: patterns, Seed: seed}.WithDefaults()
 	cfg.Workers = e.opts.SimWorkers
 	return memo(ctx, e, e.mlSims, mlSimKey(mk, frac, pat, p, cfg), mlSimulateJob{m, frac, pat, p, cfg})
 }
@@ -118,16 +115,7 @@ type mlSimulateJob struct {
 }
 
 func (j mlSimulateJob) solve(ctx context.Context) (multilevel.CampaignResult, error) {
-	costs, err := multilevel.SingleLevelCosts(j.m, j.p, j.frac)
-	if err != nil {
-		return multilevel.CampaignResult{}, err
-	}
-	lf, ls := j.m.Rates(j.p)
-	s, err := multilevel.NewSimulator(costs, j.pat, lf, ls)
-	if err != nil {
-		return multilevel.CampaignResult{}, err
-	}
-	return s.SimulateContext(ctx, j.cfg)
+	return multilevel.SimulateModel(ctx, j.m, j.frac, j.pat, j.p, j.cfg)
 }
 
 // MultilevelSweepCell is one solved cell of a two-level sweep.

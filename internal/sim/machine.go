@@ -52,6 +52,25 @@ type Machine struct {
 	downtime   float64
 }
 
+// MaxMachineProcs bounds the per-processor event population the
+// machine-level simulator is asked to carry. Allocations beyond it
+// (unbounded-allocation optima, oversized requests) are reported
+// unsimulable or rejected rather than silently mispriced.
+const MaxMachineProcs = 1 << 16
+
+// MachineProcs rounds an optimizer's (possibly fractional) allocation to
+// the integral processor count the machine-level simulator replays it
+// at, at least one. ok is false when that count exceeds MaxMachineProcs:
+// the pattern is then off the simulable map, and procs is only the
+// rounded allocation to report.
+func MachineProcs(p float64) (procs float64, ok bool) {
+	procs = math.Round(p)
+	if !(procs >= 1) {
+		procs = 1
+	}
+	return procs, procs <= MaxMachineProcs
+}
+
 // NewMachine builds a machine-level simulator for PATTERN(T, P) under the
 // model, with exponential per-processor arrivals. P must be an integer
 // processor count.

@@ -24,6 +24,30 @@ func TestNewMachineValidation(t *testing.T) {
 	}
 }
 
+func TestMachineProcs(t *testing.T) {
+	for _, tc := range []struct {
+		p     float64
+		procs float64
+		ok    bool
+	}{
+		{207.21, 207, true},
+		{207.5, 208, true},
+		{0.3, 1, true},
+		{-5, 1, true},
+		{math.NaN(), 1, true},
+		{MaxMachineProcs, MaxMachineProcs, true},
+		{MaxMachineProcs + 0.4, MaxMachineProcs, true},
+		{MaxMachineProcs + 0.5, MaxMachineProcs + 1, false},
+		{3.2e12, 3.2e12, false},
+		{math.Inf(1), math.Inf(1), false},
+	} {
+		procs, ok := MachineProcs(tc.p)
+		if procs != tc.procs || ok != tc.ok {
+			t.Errorf("MachineProcs(%g) = (%g, %v), want (%g, %v)", tc.p, procs, ok, tc.procs, tc.ok)
+		}
+	}
+}
+
 func TestMachineErrorFree(t *testing.T) {
 	m := heraModel(t, costmodel.Scenario1, 0.1)
 	m.LambdaInd = 0
